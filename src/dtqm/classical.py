@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .action import ActionModel
-from .rootfind import bracketed_newton
+from .rootfind import newton_solve, scan_roots
 
 __all__ = [
     "TrajectoryStatus",
@@ -101,63 +101,34 @@ def _default_radius(model: ActionModel, x_now, x_prev) -> float:
     return 10.0 * displacement + 10.0 * math.sqrt(c.hbar * c.time_step / c.mass)
 
 
-def _eom_step_1d(model, x_prev, x_now, search_radius, n_scan):
+def _eom_step_1d(model, x_prev, x_now):
     incoming = float(model.ds_dx(x_now, x_prev))
 
     def g(xi):
-        return incoming + float(model.ds_dy(xi, x_now))
+        return incoming + model.ds_dy(xi, x_now)
 
     def dg(xi):
-        return float(model.d2s_dxdy(xi, x_now))
+        return model.d2s_dxdy(xi, x_now)
 
     gtol = _gradient_tolerance(model, x_now, x_prev)
-    radius = search_radius if search_radius is not None else _default_radius(model, x_now, x_prev)
+    radius = _default_radius(model, x_now, x_prev)
     lo, hi = x_now - radius, x_now + radius
-    xs = np.linspace(lo, hi, n_scan + 1)
-    gs = np.array([g(x) for x in xs])
-
     xtol = 1e-13 * max(1.0, abs(lo), abs(hi))
-    roots: list[float] = []
-    for i in range(n_scan):
-        if gs[i] == 0.0:
-            roots.append(float(xs[i]))
-            continue
-        if gs[i] * gs[i + 1] < 0.0:
-            root, _ = bracketed_newton(g, dg, float(xs[i]), float(xs[i + 1]), float(gs[i]), float(gs[i + 1]), gtol, xtol)
-            roots.append(root)
-    if gs[-1] == 0.0:
-        roots.append(float(xs[-1]))
+    roots, xs, gs = scan_roots(g, dg, lo, hi, SCAN_SUBINTERVALS, gtol, xtol, 1e-9 * max(1.0, radius))
 
-    # Merge refinements that landed on the same root.
-    roots = sorted(roots)
-    merged: list[float] = []
-    for r in roots:
-        if not merged or abs(r - merged[-1]) > 1e-9 * max(1.0, radius):
-            merged.append(r)
-
-    if not merged:
+    if not roots:
         smallest = float(np.min(np.abs(gs)))
         if smallest <= gtol:
             xi = float(xs[int(np.argmin(np.abs(gs)))])
-            return EomResult(xi, TrajectoryStatus.COMPLETE, abs(g(xi)))
+            return EomResult(xi, TrajectoryStatus.COMPLETE, abs(float(g(xi))))
         return EomResult(None, TrajectoryStatus.NO_SOLUTION, smallest)
 
     free_prediction = 2.0 * x_now - x_prev
-    if len(merged) == 1:
-        xi = merged[0]
-        return EomResult(xi, TrajectoryStatus.COMPLETE, abs(g(xi)))
-    xi = min(merged, key=lambda r: abs(r - free_prediction))
-    return EomResult(xi, TrajectoryStatus.NON_UNIQUE, abs(g(xi)))
-
-
-def _fd_jacobian(gfun, xi, step=1e-6):
-    n = xi.size
-    jac = np.empty((n, n))
-    for j in range(n):
-        d = np.zeros(n)
-        d[j] = step
-        jac[:, j] = (gfun(xi + d) - gfun(xi - d)) / (2.0 * step)
-    return jac
+    if len(roots) == 1:
+        xi = roots[0]
+        return EomResult(xi, TrajectoryStatus.COMPLETE, abs(float(g(xi))))
+    xi = min(roots, key=lambda r: abs(r - free_prediction))
+    return EomResult(xi, TrajectoryStatus.NON_UNIQUE, abs(float(g(xi))))
 
 
 def _eom_step_2d(model, x_prev, x_now):
@@ -168,52 +139,37 @@ def _eom_step_2d(model, x_prev, x_now):
     def g(xi):
         return incoming + np.asarray(model.ds_dy(xi, x_now), dtype=float)
 
-    gtol = _gradient_tolerance(model, x_now, x_prev)
-    xi = 2.0 * x_now - x_prev
-    scale = max(1.0, float(np.max(np.abs(x_now))), float(np.max(np.abs(x_prev))))
-    for _ in range(MAX_NEWTON_2D):
-        gv = g(xi)
-        res = float(np.max(np.abs(gv)))
-        if res < gtol:
-            return EomResult(xi, TrajectoryStatus.COMPLETE, res)
+    def jacobian(xi):
         # dg_a/dxi_b is the transposed mixed block of the action at (xi, x_now).
-        try:
-            jac = np.asarray(model.d2s_dxdy(xi, x_now), dtype=float).T
-        except NotImplementedError:
-            jac = _fd_jacobian(g, xi)
-        try:
-            step = np.linalg.solve(jac, gv)
-        except np.linalg.LinAlgError:
-            jac = _fd_jacobian(g, xi)
-            try:
-                step = np.linalg.solve(jac, gv)
-            except np.linalg.LinAlgError:
-                return EomResult(None, TrajectoryStatus.NO_SOLUTION, res)
-        xi = xi - step
-        if float(np.max(np.abs(xi))) > 1e8 * scale:
-            break
-    gv = g(xi)
-    return EomResult(None, TrajectoryStatus.NO_SOLUTION, float(np.max(np.abs(gv))))
+        return np.asarray(model.d2s_dxdy(xi, x_now), dtype=float).T
+
+    gtol = _gradient_tolerance(model, x_now, x_prev)
+    scale = max(1.0, float(np.max(np.abs(x_now))), float(np.max(np.abs(x_prev))))
+    xi, residual = newton_solve(g, jacobian, 2.0 * x_now - x_prev, gtol, MAX_NEWTON_2D, 1e8 * scale)
+    if xi is None:
+        return EomResult(None, TrajectoryStatus.NO_SOLUTION, residual)
+    return EomResult(xi, TrajectoryStatus.COMPLETE, residual)
 
 
-def eom_step(model: ActionModel, x_prev, x_now, search_radius: float | None = None, n_scan: int = SCAN_SUBINTERVALS) -> EomResult:
+def eom_step(model: ActionModel, x_prev, x_now) -> EomResult:
     """Solve the discrete equation of motion for the next position.
 
-    In 1D the root is located by a bracketing scan of ``n_scan`` subintervals
+    In 1D the root is located by a bracketing scan of 64 equal subintervals
     over [x_now - R, x_now + R], each sign change refined by safeguarded
-    Newton. R defaults to 10 |x_now - x_prev| + 10 sqrt(hbar tau / m), a
-    heuristic wide enough for every admissible action (whose equation is
-    linear) while keeping the no-solution verdict for bounded-gradient probes
+    Newton. R is 10 |x_now - x_prev| + 10 sqrt(hbar tau / m), a heuristic
+    wide enough for every admissible action (whose equation is linear)
+    while keeping the no-solution verdict for bounded-gradient probes
     honest: "no root inside the documented search region".
 
     When several roots fall inside the region, the one closest to the
     free-motion prediction 2 x_now - x_prev is returned with the non-unique
     flag. In 2D the two-component system is solved by Newton iteration from
-    the free-motion prediction; failure to converge is reported as
-    no_solution (no bracketing equivalent exists there).
+    the free-motion prediction; failure to converge, a singular Jacobian or
+    a diverging iterate is reported as no_solution (no bracketing
+    equivalent exists there).
     """
     if model.dimension == 1:
-        return _eom_step_1d(model, float(x_prev), float(x_now), search_radius, n_scan)
+        return _eom_step_1d(model, float(x_prev), float(x_now))
     return _eom_step_2d(model, x_prev, x_now)
 
 
@@ -277,30 +233,21 @@ def _invert_momentum_1d(model, x0: float, p0: float) -> float:
     c = model.constants
 
     def g(xi):
-        return float(model.ds_dx(x0, xi)) - p0
+        return model.ds_dx(x0, xi) - p0
 
     def dg(xi):
         # derivative of dS/dx (x0, xi) with respect to xi
-        return float(model.d2s_dxdy(x0, xi))
+        return model.d2s_dxdy(x0, xi)
 
     gtol = _gradient_tolerance(model, x0, p0 * c.time_step / c.mass)
     guess = x0 - c.time_step * p0 / c.mass
     radius = 10.0 * (abs(c.time_step * p0 / c.mass) + math.sqrt(c.hbar * c.time_step / c.mass))
-    xs = np.linspace(guess - radius, guess + radius, SCAN_SUBINTERVALS + 1)
-    gs = np.array([g(x) for x in xs])
+    lo, hi = guess - radius, guess + radius
     xtol = 1e-13 * max(1.0, abs(guess) + radius)
-    roots = []
-    for i in range(SCAN_SUBINTERVALS):
-        if gs[i] == 0.0:
-            roots.append(float(xs[i]))
-        elif gs[i] * gs[i + 1] < 0.0:
-            root, _ = bracketed_newton(g, dg, float(xs[i]), float(xs[i + 1]), float(gs[i]), float(gs[i + 1]), gtol, xtol)
-            roots.append(root)
-    if gs[-1] == 0.0:
-        roots.append(float(xs[-1]))
+    roots, _, _ = scan_roots(g, dg, lo, hi, SCAN_SUBINTERVALS, gtol, xtol, 0.0)
     if not roots:
         raise NumericalError(
-            f"cannot invert the momentum map at x0={x0}, p0={p0}: no root in [{xs[0]:.6g}, {xs[-1]:.6g}]"
+            f"cannot invert the momentum map at x0={x0}, p0={p0}: no root in [{lo:.6g}, {hi:.6g}]"
         )
     return min(roots, key=lambda r: abs(r - guess))
 
@@ -313,22 +260,16 @@ def _invert_momentum_2d(model, x0, p0):
     def g(xi):
         return np.asarray(model.ds_dx(x0, xi), dtype=float) - p0
 
+    def jacobian(xi):
+        return np.asarray(model.d2s_dxdy(x0, xi), dtype=float)
+
     gtol = _gradient_tolerance(model, x0, p0 * c.time_step / c.mass)
-    xi = x0 - c.time_step * p0 / c.mass
-    for _ in range(MAX_NEWTON_2D):
-        gv = g(xi)
-        if float(np.max(np.abs(gv))) < gtol:
-            return xi
-        try:
-            jac = np.asarray(model.d2s_dxdy(x0, xi), dtype=float)
-        except NotImplementedError:
-            jac = _fd_jacobian(g, xi)
-        try:
-            step = np.linalg.solve(jac, gv)
-        except np.linalg.LinAlgError:
-            raise NumericalError(f"singular Jacobian while inverting the momentum map at x0={x0}")
-        xi = xi - step
-    raise NumericalError(f"momentum-map inversion did not converge at x0={x0}, p0={p0}")
+    xi, residual = newton_solve(g, jacobian, x0 - c.time_step * p0 / c.mass, gtol, MAX_NEWTON_2D)
+    if xi is None:
+        raise NumericalError(
+            f"cannot invert the momentum map at x0={x0}, p0={p0}: Newton iteration stopped at residual {residual:.3g}"
+        )
+    return xi
 
 
 def invert_momentum(model: ActionModel, x0, p0):

@@ -7,6 +7,7 @@ silently with defaults.
 """
 
 import json
+import math
 
 from .action import (
     GaugedAction,
@@ -94,64 +95,73 @@ def _typed(value, types, where: str):
     raise AssertionError(f"unhandled schema type {types}")
 
 
-_POTENTIAL_PARAMS = {
-    "zero": {},
-    "harmonic": {"omega": (float, 1.0)},
-    "quartic": {"strength": (float, 1.0)},
-    "cosine_well": {"depth": (float, 1.0), "wavenumber": (float, 1.0)},
+# Named built-ins: name -> (parameter schema, factory(params, mass)).
+_POTENTIALS = {
+    "zero": ({}, lambda p, mass: zero_potential()),
+    "harmonic": ({"omega": (float, 1.0)}, lambda p, mass: harmonic_potential(mass, p["omega"])),
+    "quartic": ({"strength": (float, 1.0)}, lambda p, mass: quartic_potential(p["strength"])),
+    "cosine_well": (
+        {"depth": (float, 1.0), "wavenumber": (float, 1.0)},
+        lambda p, mass: cosine_well_potential(p["depth"], p["wavenumber"]),
+    ),
 }
 
-_PHASE_PARAMS = {
-    "zero": {},
-    "linear": {"slope": (float, 1.0)},
-    "quadratic": {"curvature": (float, 1.0)},
+_PHASES = {
+    "zero": ({}, lambda p, mass: zero_phase()),
+    "linear": ({"slope": (float, 1.0)}, lambda p, mass: linear_phase(p["slope"])),
+    "quadratic": ({"curvature": (float, 1.0)}, lambda p, mass: quadratic_phase(p["curvature"])),
 }
 
-_FIELD_PARAMS = {
-    "zero": {},
-    "bilinear": {"strength": (float, 1.0)},
-    "sine": {"strength": (float, 1.0)},
+_FIELDS = {
+    "zero": ({}, lambda p, mass: zero_field()),
+    "bilinear": ({"strength": (float, 1.0)}, lambda p, mass: bilinear_field(p["strength"])),
+    "sine": ({"strength": (float, 1.0)}, lambda p, mass: sine_field(p["strength"])),
 }
+
+# The registry each named sub-block of an action draws from.
+_NAMED_BLOCKS = {"potential": _POTENTIALS, "phase": _PHASES, "a1": _FIELDS, "a2": _FIELDS}
+
+# Action kinds: kind -> (required keys besides 'kind', factory(constants, parts)).
+# ``parts`` is the validated action block with its named sub-blocks built.
+_ACTIONS = {
+    "standard": ({"potential": dict}, lambda c, a: StandardAction(c, a["potential"])),
+    "gauged": ({"potential": dict, "phase": dict}, lambda c, a: GaugedAction(c, a["potential"], a["phase"])),
+    "quartic": ({"potential": dict, "epsilon": float}, lambda c, a: QuarticAction(c, a["potential"], a["epsilon"])),
+    "sine": ({"strength": float}, lambda c, a: SineAction(c, a["strength"])),
+    "vector_potential_2d": (
+        {"potential": dict, "a1": dict, "a2": dict},
+        lambda c, a: VectorPotentialAction2D(c, a["potential"], a["a1"], a["a2"]),
+    ),
+}
+
+
+def _finite_number(text: str) -> float:
+    """JSON number hook: NaN, Infinity, -Infinity and overflowing literals are errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {text} in config; numbers must be finite")
+    return value
 
 
 def _named_block(block, where: str, registry: dict) -> dict:
     block = _require_mapping(block, where)
     name = block.get("name")
-    if name not in registry:
+    if not isinstance(name, str) or name not in registry:
         raise ConfigError(f"'{where}.name' must be one of {sorted(registry)}, got {name!r}")
-    schema = dict(registry[name])
-    checked = _check(block, where, {"name": str}, schema)
-    return checked
+    return _check(block, where, {"name": str}, registry[name][0])
 
 
 def _validate_action(block, where: str) -> dict:
     block = _require_mapping(block, where)
     kind = block.get("kind")
-    if kind == "standard":
-        return _check(block, where, {"kind": str, "potential": dict}, {}) | {
-            "potential": _named_block(block["potential"], f"{where}.potential", _POTENTIAL_PARAMS)
-        }
-    if kind == "gauged":
-        out = _check(block, where, {"kind": str, "potential": dict, "phase": dict}, {})
-        out["potential"] = _named_block(block["potential"], f"{where}.potential", _POTENTIAL_PARAMS)
-        out["phase"] = _named_block(block["phase"], f"{where}.phase", _PHASE_PARAMS)
-        return out
-    if kind == "quartic":
-        out = _check(block, where, {"kind": str, "potential": dict, "epsilon": float}, {})
-        out["potential"] = _named_block(block["potential"], f"{where}.potential", _POTENTIAL_PARAMS)
-        return out
-    if kind == "sine":
-        return _check(block, where, {"kind": str, "strength": float}, {})
-    if kind == "vector_potential_2d":
-        out = _check(block, where, {"kind": str, "potential": dict, "a1": dict, "a2": dict}, {})
-        out["potential"] = _named_block(block["potential"], f"{where}.potential", _POTENTIAL_PARAMS)
-        out["a1"] = _named_block(block["a1"], f"{where}.a1", _FIELD_PARAMS)
-        out["a2"] = _named_block(block["a2"], f"{where}.a2", _FIELD_PARAMS)
-        return out
-    raise ConfigError(
-        f"'{where}.kind' must be one of ['standard', 'gauged', 'quartic', 'sine', "
-        f"'vector_potential_2d'], got {kind!r}"
-    )
+    if not isinstance(kind, str) or kind not in _ACTIONS:
+        raise ConfigError(f"'{where}.kind' must be one of {list(_ACTIONS)}, got {kind!r}")
+    required = _ACTIONS[kind][0]
+    out = _check(block, where, {"kind": str} | required, {})
+    for key in required:
+        if key in _NAMED_BLOCKS:
+            out[key] = _named_block(block[key], f"{where}.{key}", _NAMED_BLOCKS[key])
+    return out
 
 
 def _validate_constants(block) -> dict:
@@ -296,7 +306,7 @@ def load_config(path: str, command: str) -> dict:
         raise ConfigError(f"unknown command '{command}'")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -337,10 +347,14 @@ def load_config(path: str, command: str) -> dict:
 
     if command == "sweep" and cfg["constants"]["tau"] == "magic":
         raise ConfigError("command 'sweep' needs a numeric 'constants.tau' (the grid is retuned per hbar)")
-    if command == "classical" and cfg["action"]["kind"] == "vector_potential_2d":
-        raise ConfigError("command 'classical' drives 1D actions only")
-    if command in ("evolve", "build") and cfg["action"]["kind"] == "vector_potential_2d":
+    if command != "check-action" and cfg["action"]["kind"] == "vector_potential_2d":
         raise ConfigError(f"command '{command}' drives 1D actions only")
+    if (
+        command in ("evolve", "build")
+        and cfg["run"]["amplitude_mode"] == "analytic"
+        and cfg["action"]["kind"] not in ("standard", "gauged")
+    ):
+        raise ConfigError("analytic amplitude mode needs a standard or gauged action; use 'calibrated'")
     return cfg
 
 
@@ -360,59 +374,12 @@ def build_constants(cfg: dict, grid: SpatialGrid | None, hbar_override: float | 
     return PhysicalConstants(c["mass"], tau, hbar)
 
 
-def _build_potential(params: dict, mass: float):
-    name = params["name"]
-    if name == "zero":
-        return zero_potential()
-    if name == "harmonic":
-        return harmonic_potential(mass, params["omega"])
-    if name == "quartic":
-        return quartic_potential(params["strength"])
-    if name == "cosine_well":
-        return cosine_well_potential(params["depth"], params["wavenumber"])
-    raise AssertionError(name)
-
-
-def _build_phase(params: dict):
-    name = params["name"]
-    if name == "zero":
-        return zero_phase()
-    if name == "linear":
-        return linear_phase(params["slope"])
-    if name == "quadratic":
-        return quadratic_phase(params["curvature"])
-    raise AssertionError(name)
-
-
-def _build_field(params: dict):
-    name = params["name"]
-    if name == "zero":
-        return zero_field()
-    if name == "bilinear":
-        return bilinear_field(params["strength"])
-    if name == "sine":
-        return sine_field(params["strength"])
-    raise AssertionError(name)
-
-
 def build_action(cfg: dict, constants: PhysicalConstants):
     a = cfg["action"]
-    kind = a["kind"]
-    if kind == "standard":
-        return StandardAction(constants, _build_potential(a["potential"], constants.mass))
-    if kind == "gauged":
-        return GaugedAction(
-            constants, _build_potential(a["potential"], constants.mass), _build_phase(a["phase"])
-        )
-    if kind == "quartic":
-        return QuarticAction(constants, _build_potential(a["potential"], constants.mass), a["epsilon"])
-    if kind == "sine":
-        return SineAction(constants, a["strength"])
-    if kind == "vector_potential_2d":
-        return VectorPotentialAction2D(
-            constants,
-            _build_potential(a["potential"], constants.mass),
-            _build_field(a["a1"]),
-            _build_field(a["a2"]),
-        )
-    raise AssertionError(kind)
+    required, make_action = _ACTIONS[a["kind"]]
+    parts = dict(a)
+    for key in required:
+        if key in _NAMED_BLOCKS:
+            _, make_part = _NAMED_BLOCKS[key][a[key]["name"]]
+            parts[key] = make_part(a[key], constants.mass)
+    return make_action(constants, parts)

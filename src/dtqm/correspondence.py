@@ -15,7 +15,6 @@ import numpy as np
 
 from .action import ActionModel, GaugedAction, StandardAction
 from .classical import (
-    ClassicalTrajectory,
     NumericalError,
     TrajectoryStatus,
     integrate,
@@ -55,17 +54,13 @@ class EhrenfestSeries:
     p_mean: np.ndarray
     x_spread: np.ndarray
     norm: np.ndarray
-    x_classical: np.ndarray | None = None
-    p_classical: np.ndarray | None = None
+    x_classical: np.ndarray
+    p_classical: np.ndarray
 
     def max_position_deviation(self) -> float:
-        if self.x_classical is None:
-            raise ValueError("series has no classical reference")
         return float(np.max(np.abs(self.x_mean - self.x_classical)))
 
     def max_momentum_deviation(self) -> float:
-        if self.p_classical is None:
-            raise ValueError("series has no classical reference")
         return float(np.max(np.abs(self.p_mean - self.p_classical)))
 
 
@@ -92,8 +87,6 @@ def ehrenfest_run(
     alpha: float = 1.0,
     n_steps: int = 50,
     amplitude_mode: str = "analytic",
-    boundary_check: bool = True,
-    include_classical: bool = True,
 ) -> EhrenfestSeries:
     """Evolve a Gaussian packet and record observables each step.
 
@@ -111,28 +104,20 @@ def ehrenfest_run(
 
     if n_steps < 0:
         raise ValueError(f"n_steps must be non-negative, got {n_steps}")
-    trajectory = None
-    if include_classical or boundary_check:
-        x_m1 = invert_momentum(model, x0, p0)
-        trajectory = integrate(model, x0, x_m1, max(n_steps, 1))
-        if trajectory.status is not TrajectoryStatus.COMPLETE:
-            raise NumericalError(f"classical reference failed: {trajectory.label()}")
-        if n_steps == 0:
-            trajectory = ClassicalTrajectory(
-                times=trajectory.times[:1],
-                positions=trajectory.positions[:1],
-                momenta=trajectory.momenta[:1],
-                residuals=trajectory.residuals[:1],
-                status=trajectory.status,
+    x_m1 = invert_momentum(model, x0, p0)
+    trajectory = integrate(model, x0, x_m1, max(n_steps, 1))
+    if trajectory.status is not TrajectoryStatus.COMPLETE:
+        raise NumericalError(f"classical reference failed: {trajectory.label()}")
+    # A zero-step run integrates one step all the same; only the seed is kept.
+    x_classical = trajectory.positions[: n_steps + 1].copy()
+    p_classical = trajectory.momenta[: n_steps + 1].copy()
+    lo = grid.x_min[0]
+    hi = lo + grid.extent[0]
+    for n, xc in enumerate(x_classical):
+        if xc - BOUNDARY_SIGMAS * sigma < lo or xc + BOUNDARY_SIGMAS * sigma > hi:
+            raise BoundaryError(
+                n, f"{BOUNDARY_SIGMAS:.0f}-sigma envelope reaches the box edge at step {n}"
             )
-    if boundary_check:
-        lo = grid.x_min[0]
-        hi = lo + grid.extent[0]
-        for n, xc in enumerate(trajectory.positions):
-            if xc - BOUNDARY_SIGMAS * sigma < lo or xc + BOUNDARY_SIGMAS * sigma > hi:
-                raise BoundaryError(
-                    n, f"{BOUNDARY_SIGMAS:.0f}-sigma envelope reaches the box edge at step {n}"
-                )
 
     kernel = build_kernel(grid, model, amplitude_mode)
     psi = make_gaussian(grid, x0, p0, alpha, hbar)
@@ -154,8 +139,8 @@ def ehrenfest_run(
         p_mean=p_mean,
         x_spread=x_spread,
         norm=norms,
-        x_classical=None if trajectory is None else trajectory.positions.copy(),
-        p_classical=None if trajectory is None else trajectory.momenta.copy(),
+        x_classical=x_classical,
+        p_classical=p_classical,
     )
 
 

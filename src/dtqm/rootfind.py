@@ -1,6 +1,10 @@
-"""Safeguarded scalar root refinement inside a sign-change bracket."""
+"""Root finding for the classical layer: a bracketing scan and Newton iteration."""
 
-__all__ = ["bracketed_newton"]
+import math
+
+import numpy as np
+
+__all__ = ["bracketed_newton", "scan_roots", "newton_solve"]
 
 
 def bracketed_newton(g, dg, lo, hi, g_lo, g_hi, gtol, xtol=0.0, max_iter=80):
@@ -54,3 +58,61 @@ def bracketed_newton(g, dg, lo, hi, g_lo, g_hi, gtol, xtol=0.0, max_iter=80):
         if abs(xh - xl) <= xtol:
             return x, gx
     return x, gx
+
+
+def scan_roots(g, dg, lo, hi, n_scan, gtol, xtol, merge_tol):
+    """Every root of g that a scan of [lo, hi] in ``n_scan`` subintervals sees.
+
+    ``g`` and ``dg`` must broadcast over arrays: the ``n_scan + 1`` scan
+    values come from one call ``g(xs)`` and only choose the brackets. A scan
+    point where g is exactly zero is a root; every other sign change is
+    refined by ``bracketed_newton`` on scalar calls. Sorted roots within
+    ``merge_tol`` of the last kept one are merged into it (0 merges only
+    exact duplicates). Returns ``(roots, xs, gs)``: the merged roots in
+    ascending order, the scan points and the scan values.
+    """
+    xs = np.linspace(lo, hi, n_scan + 1)
+    gs = np.asarray(g(xs), dtype=float)
+
+    def g_scalar(x):
+        return float(g(x))
+
+    def dg_scalar(x):
+        return float(dg(x))
+
+    roots = [float(x) for x in xs[gs == 0.0]]
+    for i in np.flatnonzero(gs[:-1] * gs[1:] < 0.0):
+        root, _ = bracketed_newton(
+            g_scalar, dg_scalar, float(xs[i]), float(xs[i + 1]), float(gs[i]), float(gs[i + 1]), gtol, xtol
+        )
+        roots.append(root)
+
+    merged: list[float] = []
+    for r in sorted(roots):
+        if not merged or abs(r - merged[-1]) > merge_tol:
+            merged.append(r)
+    return merged, xs, gs
+
+
+def newton_solve(g, jacobian, x0, gtol, max_iter, blowup=math.inf):
+    """Newton iteration for a vector root g(x) = 0 from ``x0``.
+
+    Converged once max |g| < ``gtol``. Gives up after ``max_iter`` steps, on
+    a singular Jacobian, or when an iterate leaves the box max |x| <=
+    ``blowup``. Returns ``(x, residual)``: ``x`` is None when no root was
+    found, and ``residual`` is max |g| at the last iterate evaluated.
+    """
+    x = x0
+    for _ in range(max_iter):
+        gv = g(x)
+        residual = float(np.max(np.abs(gv)))
+        if residual < gtol:
+            return x, residual
+        try:
+            step = np.linalg.solve(jacobian(x), gv)
+        except np.linalg.LinAlgError:
+            return None, residual
+        x = x - step
+        if float(np.max(np.abs(x))) > blowup:
+            break
+    return None, float(np.max(np.abs(g(x))))

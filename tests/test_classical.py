@@ -23,6 +23,7 @@ from dtqm import (
     zero_field,
     zero_potential,
 )
+from dtqm.rootfind import newton_solve, scan_roots
 
 HBAR = 1.0
 
@@ -218,3 +219,48 @@ def test_2d_magnetic_field_trajectory_satisfies_balance():
     p = momentum_from_pair(model, x0, np.array([0.69, -0.31]))
     recovered = invert_momentum(model, x0, p)
     np.testing.assert_allclose(recovered, [0.69, -0.31], atol=1e-10)
+
+
+def test_scan_roots_root_on_scan_point_and_one_broadcast_call():
+    shapes = []
+
+    def g(x):
+        shapes.append(np.shape(x))
+        return np.asarray(x, dtype=float) - 0.5
+
+    roots, xs, gs = scan_roots(g, lambda x: 1.0, 0.0, 1.0, 4, 1e-12, 0.0, 0.0)
+    assert roots == [0.5]
+    assert xs[2] == 0.5 and gs[2] == 0.0
+    assert shapes == [(5,)]  # a root on a scan point needs no refinement
+
+
+def test_scan_roots_merges_refinements_within_merge_tol():
+    # Roots on either side of the scan point 0.25: two brackets, two refinements.
+    a, b = 0.25 - 1e-9, 0.25 + 1e-9
+
+    def g(x):
+        return (x - a) * (x - b)
+
+    def dg(x):
+        return 2.0 * x - a - b
+
+    separate, _, _ = scan_roots(g, dg, 0.0, 1.0, 4, 0.0, 0.0, 0.0)
+    assert separate == pytest.approx([a, b], abs=1e-15)
+    merged, _, _ = scan_roots(g, dg, 0.0, 1.0, 4, 0.0, 0.0, 1e-8)
+    assert merged == separate[:1]
+
+
+def test_scan_roots_without_sign_change_is_empty():
+    roots, xs, gs = scan_roots(lambda x: x * x + 1.0, lambda x: 2.0 * x, -1.0, 1.0, 64, 1e-12, 0.0, 0.0)
+    assert roots == []
+    assert len(xs) == len(gs) == 65
+    assert float(np.min(gs)) == 1.0
+
+
+def test_newton_solve_singular_jacobian_returns_no_root():
+    def g(x):
+        return np.array([x[0] + x[1] - 1.0, x[0] + x[1] + 1.0])
+
+    root, residual = newton_solve(g, lambda x: np.ones((2, 2)), np.zeros(2), 1e-12, 60)
+    assert root is None
+    assert residual == 1.0

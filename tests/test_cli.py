@@ -96,6 +96,14 @@ def test_unknown_key_is_config_error_with_key_name(tmp_path, capsys):
     assert "typo_key" in capsys.readouterr().err
 
 
+def test_unhashable_builtin_name_is_config_error(tmp_path, capsys):
+    payload = harmonic_evolve_config("out")
+    payload["action"]["potential"]["name"] = ["harmonic"]
+    cfg = write_config(tmp_path, "listname.json", payload)
+    assert main(["evolve", "--config", cfg]) == 2
+    assert "'action.potential.name' must be one of" in capsys.readouterr().err
+
+
 def test_missing_and_invalid_config_files(tmp_path):
     assert main(["evolve", "--config", str(tmp_path / "absent.json")]) == 2
     broken = tmp_path / "broken.json"
@@ -261,6 +269,29 @@ def test_sweep_rejects_magic_tau(tmp_path):
     assert main(["sweep", "--config", cfg]) == 2
 
 
+def test_sweep_rejects_2d_action(tmp_path, capsys):
+    payload = sweep_config("out", [1.0, 0.5, 0.25])
+    payload["action"] = {
+        "kind": "vector_potential_2d",
+        "potential": {"name": "zero"},
+        "a1": {"name": "bilinear", "strength": 0.1},
+        "a2": {"name": "zero"},
+    }
+    cfg = write_config(tmp_path, "sweep2d.json", payload)
+    assert main(["sweep", "--config", cfg]) == 2
+    assert "drives 1D actions only" in capsys.readouterr().err
+
+
+def test_threads_env_must_be_an_integer(tmp_path, monkeypatch, capsys):
+    out = str(tmp_path / "out")
+    cfg = write_config(tmp_path, "sweep.json", sweep_config(out, [1.0, 0.5, 0.25]))
+    monkeypatch.setenv("DTQM_THREADS", "two")
+    assert main(["sweep", "--config", cfg]) == 2
+    assert "DTQM_THREADS" in capsys.readouterr().err
+    monkeypatch.setenv("DTQM_THREADS", "-1")  # negative still means sequential
+    assert main(["sweep", "--config", cfg]) == 0
+
+
 def test_build_reports_kernel_diagnostics(tmp_path):
     out = str(tmp_path / "out")
     cfg = write_config(
@@ -301,18 +332,36 @@ def test_build_probe_kernel_fails_tolerance(tmp_path):
 
 
 def test_build_analytic_mode_rejects_probe_kind(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        "badmode.json",
-        {
-            "grid": {"n_points": 128, "x_min": -8.0, "spacing": 0.125},
-            "constants": {"mass": 1.0, "hbar": 1.0, "tau": "magic"},
-            "action": {"kind": "sine", "strength": 1.0},
-            "run": {},
-            "output": {"directory": "out"},
-        },
-    )
+    out = tmp_path / "out"
+    payload = {
+        "grid": {"n_points": 128, "x_min": -8.0, "spacing": 0.125},
+        "constants": {"mass": 1.0, "hbar": 1.0, "tau": "magic"},
+        "action": {"kind": "sine", "strength": 1.0},
+        "run": {},
+        "output": {"directory": str(out)},
+    }
+    cfg = write_config(tmp_path, "badmode.json", payload)
     assert main(["build", "--config", cfg]) == 2
+    payload["run"] = {"x0": 0.0, "p0": 0.0, "n_steps": 5}
+    cfg = write_config(tmp_path, "badmode_evolve.json", payload)
+    assert main(["evolve", "--config", cfg]) == 2
+    # Rejected while validating, before the output directory exists.
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_number_is_config_error(tmp_path, capsys, literal):
+    # Seeded by p0, a NaN omega would otherwise surface as a failed momentum inversion (exit 3).
+    payload = {
+        "constants": {"mass": 1.0, "hbar": 1.0, "tau": 0.1},
+        "action": {"kind": "standard", "potential": {"name": "harmonic", "omega": "OMEGA"}},
+        "run": {"x0": 0.5, "p0": 0.3, "n_steps": 5},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(payload).replace('"OMEGA"', literal), encoding="utf-8")
+    assert main(["classical", "--config", str(path)]) == 2
+    assert f"non-finite number {literal}" in capsys.readouterr().err
 
 
 def test_format_flag_restricts_data_outputs(tmp_path):
