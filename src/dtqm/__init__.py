@@ -41,7 +41,7 @@ from .correspondence import (
     gauge_equivalence_run,
     hbar_sweep,
 )
-from .criterion import CriterionError, CriterionReport, check_criterion, check_linearized
+from .criterion import CriterionError, CriterionReport, check_criterion
 from .grid import (
     SpatialGrid,
     WaveState,

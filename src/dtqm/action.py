@@ -258,12 +258,6 @@ class VectorPotentialAction2D(ActionModel):
             self.a1.f(x1, y2) - self.a1.f(y1, x2) + self.a2.f(y1, x2) - self.a2.f(x1, y2)
         )
 
-    def perturbation_mixed_trace(self, x, y):
-        """Sum over axes of d2s/dx_a dy_a; structurally zero for this family."""
-        x1, _ = self._split(x)
-        y1, _ = self._split(y)
-        return np.zeros(np.broadcast_shapes(np.shape(x1), np.shape(y1)))
-
     def s(self, x, y):
         c = self.constants
         x1, x2 = self._split(x)

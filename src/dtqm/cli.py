@@ -18,7 +18,7 @@ from . import __version__
 from .classical import NumericalError, integrate, invert_momentum
 from .config import ConfigError, build_action, build_constants, build_grid, load_config
 from .correspondence import BoundaryError, ehrenfest_run, hbar_sweep
-from .criterion import check_criterion, check_linearized
+from .criterion import check_criterion
 from .propagator import CalibrationError, build_kernel, magic_time_step
 
 EXIT_OK = 0
@@ -60,14 +60,6 @@ def _write_report(outdir: str, report: dict) -> str:
     return path
 
 
-def _threads() -> int:
-    raw = os.environ.get("DTQM_THREADS", "")
-    try:
-        return max(0, int(raw)) if raw else 0
-    except ValueError:
-        raise ConfigError(f"DTQM_THREADS must be an integer, got {raw!r}") from None
-
-
 def _cmd_check_action(cfg: dict, outdir: str, formats: set[str]) -> tuple[int, dict, list[str]]:
     constants = build_constants(cfg, None)
     model = build_action(cfg, constants)
@@ -75,7 +67,7 @@ def _cmd_check_action(cfg: dict, outdir: str, formats: set[str]) -> tuple[int, d
     report = check_criterion(model, tuple(run["domain"]), run["n_samples"], run["tolerance"])
     results = {"criterion": report.as_dict()}
     if cfg["action"]["kind"] == "vector_potential_2d":
-        results["linearized_max_trace"] = check_linearized(model, tuple(run["domain"]), run["n_samples"])
+        results["linearized_max_trace"] = report.trace_linearized
     expected_constant = run["expect"] == "admissible"
     failures = []
     if report.is_constant != expected_constant:
@@ -164,7 +156,6 @@ def _cmd_sweep(cfg: dict, outdir: str, formats: set[str]) -> tuple[int, dict, li
         run["n_steps"],
         cfg["grid"]["n_points"],
         alpha=run["alpha"],
-        max_workers=_threads(),
     )
     if "csv" in formats and report.finest is not None:
         _write_series_csv(os.path.join(outdir, "sweep_finest.csv"), report.finest)
@@ -241,22 +232,25 @@ def main(argv=None) -> int:
         os.makedirs(outdir, exist_ok=True)
         formats = {args.format} if args.format else set(cfg["output"]["formats"])
         code, results, failures = _HANDLERS[args.command](cfg, outdir, formats)
+        report = {
+            "artifact_version": __version__,
+            "command": args.command,
+            "config": cfg["raw"],
+            "results": results,
+            "pass": code == EXIT_OK,
+            "failures": failures,
+            "wall_time_s": time.perf_counter() - started,
+        }
+        _write_report(outdir, report)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (CalibrationError, NumericalError, BoundaryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    report = {
-        "artifact_version": __version__,
-        "command": args.command,
-        "config": cfg["raw"],
-        "results": results,
-        "pass": code == EXIT_OK,
-        "failures": failures,
-        "wall_time_s": time.perf_counter() - started,
-    }
-    _write_report(outdir, report)
     for line in failures:
         print(f"FAIL: {line}", file=sys.stderr)
     return code

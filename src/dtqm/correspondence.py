@@ -8,7 +8,6 @@ difference in the action is invisible in position densities.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +78,64 @@ def _observables(amps: np.ndarray, xs: np.ndarray, weight: float, dx: float, hba
     return x_mean, p_mean, math.sqrt(max(x_sq - x_mean * x_mean, 0.0)), math.sqrt(nsq)
 
 
+def _classical_track(model: ActionModel, x0: float, p0: float, n_steps: int):
+    """Positions and momenta of the discrete classical run seeded at (x0, p0)."""
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be non-negative, got {n_steps}")
+    x_m1 = invert_momentum(model, x0, p0)
+    trajectory = integrate(model, x0, x_m1, max(n_steps, 1))
+    if trajectory.status is not TrajectoryStatus.COMPLETE:
+        raise NumericalError(f"classical reference failed: {trajectory.label()}")
+    # A zero-step run integrates one step all the same; only the seed is kept.
+    return trajectory.positions[: n_steps + 1].copy(), trajectory.momenta[: n_steps + 1].copy()
+
+
+def _packet_run(
+    model: ActionModel,
+    grid: SpatialGrid,
+    x0: float,
+    p0: float,
+    alpha: float,
+    track: tuple[np.ndarray, np.ndarray],
+    amplitude_mode: str,
+) -> EhrenfestSeries:
+    """Evolve a Gaussian packet along a given classical track and record observables."""
+    x_classical, p_classical = track
+    hbar = model.constants.hbar
+    sigma = alpha * math.sqrt(hbar / 2.0)
+    lo = grid.x_min[0]
+    hi = lo + grid.extent[0]
+    for n, xc in enumerate(x_classical):
+        if xc - BOUNDARY_SIGMAS * sigma < lo or xc + BOUNDARY_SIGMAS * sigma > hi:
+            raise BoundaryError(
+                n, f"{BOUNDARY_SIGMAS:.0f}-sigma envelope reaches the box edge at step {n}"
+            )
+
+    kernel = build_kernel(grid, model, amplitude_mode)
+    psi = make_gaussian(grid, x0, p0, alpha, hbar)
+    xs = grid.axis_points(0)
+    n_record = len(x_classical)
+    x_mean = np.empty(n_record)
+    p_mean = np.empty(n_record)
+    x_spread = np.empty(n_record)
+    norms = np.empty(n_record)
+    for n in range(n_record):
+        x_mean[n], p_mean[n], x_spread[n], norms[n] = _observables(
+            psi.amplitudes, xs, grid.weight, grid.spacing[0], hbar
+        )
+        if n < n_record - 1:
+            psi = evolve(kernel, psi)
+    return EhrenfestSeries(
+        steps=np.arange(n_record),
+        x_mean=x_mean,
+        p_mean=p_mean,
+        x_spread=x_spread,
+        norm=norms,
+        x_classical=x_classical,
+        p_classical=p_classical,
+    )
+
+
 def ehrenfest_run(
     model: ActionModel,
     grid: SpatialGrid,
@@ -99,49 +156,8 @@ def ehrenfest_run(
     """
     if model.dimension != 1 or grid.dimension != 1:
         raise ValueError("ehrenfest runs are one-dimensional")
-    hbar = model.constants.hbar
-    sigma = alpha * math.sqrt(hbar / 2.0)
-
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be non-negative, got {n_steps}")
-    x_m1 = invert_momentum(model, x0, p0)
-    trajectory = integrate(model, x0, x_m1, max(n_steps, 1))
-    if trajectory.status is not TrajectoryStatus.COMPLETE:
-        raise NumericalError(f"classical reference failed: {trajectory.label()}")
-    # A zero-step run integrates one step all the same; only the seed is kept.
-    x_classical = trajectory.positions[: n_steps + 1].copy()
-    p_classical = trajectory.momenta[: n_steps + 1].copy()
-    lo = grid.x_min[0]
-    hi = lo + grid.extent[0]
-    for n, xc in enumerate(x_classical):
-        if xc - BOUNDARY_SIGMAS * sigma < lo or xc + BOUNDARY_SIGMAS * sigma > hi:
-            raise BoundaryError(
-                n, f"{BOUNDARY_SIGMAS:.0f}-sigma envelope reaches the box edge at step {n}"
-            )
-
-    kernel = build_kernel(grid, model, amplitude_mode)
-    psi = make_gaussian(grid, x0, p0, alpha, hbar)
-    xs = grid.axis_points(0)
-    n_record = n_steps + 1
-    x_mean = np.empty(n_record)
-    p_mean = np.empty(n_record)
-    x_spread = np.empty(n_record)
-    norms = np.empty(n_record)
-    for n in range(n_record):
-        x_mean[n], p_mean[n], x_spread[n], norms[n] = _observables(
-            psi.amplitudes, xs, grid.weight, grid.spacing[0], hbar
-        )
-        if n < n_steps:
-            psi = evolve(kernel, psi)
-    return EhrenfestSeries(
-        steps=np.arange(n_record),
-        x_mean=x_mean,
-        p_mean=p_mean,
-        x_spread=x_spread,
-        norm=norms,
-        x_classical=x_classical,
-        p_classical=p_classical,
-    )
+    track = _classical_track(model, x0, p0, n_steps)
+    return _packet_run(model, grid, x0, p0, alpha, track, amplitude_mode)
 
 
 @dataclass
@@ -178,15 +194,15 @@ def hbar_sweep(
     n_steps: int,
     n_points: int,
     alpha: float = 1.0,
-    max_workers: int = 0,
 ) -> CorrespondenceReport:
     """Run Ehrenfest tracking for each hbar and compare against one classical track.
 
     ``make_model(hbar)`` must return action models sharing mass, time step,
-    and potential, so the classical trajectory (which never sees hbar) is
-    common to the whole sweep. Each run gets its own grid: the spacing is
-    retuned so the shared time step is that grid's exact-unitarity step, and
-    the packet width alpha sqrt(hbar / 2) shrinks along with hbar. Per-run
+    and potential. The classical trajectory never sees hbar, so it is
+    computed once, from the first model, and the runs evolve one after
+    another against it. Each run gets its own grid: the spacing is retuned
+    so the shared time step is that grid's exact-unitarity step, and the
+    packet width alpha sqrt(hbar / 2) shrinks along with hbar. Per-run
     failures are recorded and the sweep continues.
     """
     hbars = [float(h) for h in hbars]
@@ -198,54 +214,32 @@ def hbar_sweep(
         raise ValueError("hbar values must be strictly descending")
 
     models = [make_model(h) for h in hbars]
+    if models[0].dimension != 1:
+        raise ValueError("sweep models must be one-dimensional")
     mass = models[0].constants.mass
     tau = models[0].constants.time_step
     for m in models[1:]:
         if abs(m.constants.mass - mass) > 1e-12 * mass or abs(m.constants.time_step - tau) > 1e-12 * tau:
             raise ValueError("sweep models must share mass and time step")
 
-    reference = integrate(models[0], x0, invert_momentum(models[0], x0, p0), n_steps)
-    if reference.status is not TrajectoryStatus.COMPLETE:
-        raise NumericalError(f"classical reference failed: {reference.label()}")
-    center = 0.5 * (float(reference.positions.min()) + float(reference.positions.max()))
-
-    def run_one(index: int):
-        h = hbars[index]
-        grid = _sweep_grid(h, mass, tau, n_points, center)
-        return ehrenfest_run(models[index], grid, x0, p0, alpha, n_steps)
-
-    results: list[EhrenfestSeries | None] = [None] * len(hbars)
-    errors: dict[float, str] = {}
-
-    def guarded(index: int):
-        try:
-            return index, run_one(index), None
-        except (BoundaryError, NumericalError, ValueError) as exc:
-            return index, None, f"{type(exc).__name__}: {exc}"
-
-    if max_workers and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(guarded, range(len(hbars))))
-    else:
-        outcomes = [guarded(i) for i in range(len(hbars))]
-    for index, series, error in outcomes:
-        if error is None:
-            results[index] = series
-        else:
-            errors[hbars[index]] = error
+    track = _classical_track(models[0], x0, p0, n_steps)
+    center = 0.5 * (float(track[0].min()) + float(track[0].max()))
 
     deviations = []
-    for series in results:
-        if series is None:
+    errors: dict[float, str] = {}
+    finest = None
+    for h, model in zip(hbars, models):
+        grid = _sweep_grid(h, mass, tau, n_points, center)
+        try:
+            finest = _packet_run(model, grid, x0, p0, alpha, track, "analytic")
+        except (BoundaryError, NumericalError, ValueError) as exc:
+            errors[h] = f"{type(exc).__name__}: {exc}"
             deviations.append(float("nan"))
         else:
-            deviations.append(float(np.max(np.abs(series.x_mean - reference.positions))))
+            deviations.append(finest.max_position_deviation())
 
-    finite = [d for d in deviations if not math.isnan(d)]
-    monotone = len(finite) == len(deviations) and all(
-        b <= a + MONOTONE_SLACK for a, b in zip(finite, finite[1:])
-    )
-    finest = next((s for s in reversed(results) if s is not None), None)
+    # A NaN deviation fails every comparison, so it is never monotone.
+    monotone = not errors and all(b <= a + MONOTONE_SLACK for a, b in zip(deviations, deviations[1:]))
     return CorrespondenceReport(
         hbar_values=tuple(hbars),
         max_deviation=tuple(deviations),

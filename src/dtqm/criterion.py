@@ -13,7 +13,7 @@ import numpy as np
 
 from .action import ActionModel
 
-__all__ = ["CriterionReport", "CriterionError", "check_criterion", "check_linearized"]
+__all__ = ["CriterionReport", "CriterionError", "check_criterion"]
 
 # Below this magnitude the mean is treated as degenerate and the spread is
 # reported absolutely instead of relatively.
@@ -93,6 +93,10 @@ def check_criterion(
     up to a power of the per-axis resolution. The verdict ``is_constant`` is
     relative spread below ``tolerance``, except when the mean is degenerate,
     in which case the absolute spread is compared instead.
+
+    For 2D actions ``trace_linearized`` is max |d2S/dx1dy1 + d2S/dx2dy2 + 2m/tau|:
+    the mixed block's trace less its kinetic part, which the linearized
+    criterion requires to vanish. It is None for 1D actions.
     """
     if n_samples < 16:
         raise ValueError(f"n_samples must be at least 16, got {n_samples}")
@@ -102,10 +106,13 @@ def check_criterion(
     except Exception as exc:
         _locate_failure(model, xs, ys, exc)
         raise  # unreachable; _locate_failure always raises
+    trace = None
     if model.dimension == 1:
         dets = mixed
     else:
         dets = mixed[..., 0, 0] * mixed[..., 1, 1] - mixed[..., 0, 1] * mixed[..., 1, 0]
+        kinetic = model.dimension * model.constants.mass / model.constants.time_step
+        trace = float(np.max(np.abs(mixed[..., 0, 0] + mixed[..., 1, 1] + kinetic)))
     det_min = float(dets.min())
     det_max = float(dets.max())
     det_mean = float(dets.mean())
@@ -114,9 +121,6 @@ def check_criterion(
         relative_spread = spread
     else:
         relative_spread = spread / abs(det_mean)
-    trace = None
-    if hasattr(model, "perturbation_mixed_trace"):
-        trace = float(np.max(np.abs(model.perturbation_mixed_trace(xs, ys))))
     return CriterionReport(
         samples=int(dets.size),
         det_min=det_min,
@@ -127,18 +131,3 @@ def check_criterion(
         tolerance=float(tolerance),
         trace_linearized=trace,
     )
-
-
-def check_linearized(model, domain, n_samples: int = DEFAULT_SAMPLES) -> float:
-    """Max over samples of |sum_a d2 s / dx_a dy_a| for a 2D perturbation.
-
-    Accepts any object exposing ``perturbation_mixed_trace(x, y)`` over
-    (..., 2) position arrays; raises TypeError for action kinds without a
-    separable 2D perturbation.
-    """
-    trace_fn = getattr(model, "perturbation_mixed_trace", None)
-    if trace_fn is None:
-        kind = getattr(model, "kind", type(model).__name__)
-        raise TypeError(f"action kind '{kind}' has no 2D perturbation to linearize")
-    xs, ys = _sample_pairs(2, domain, n_samples)
-    return float(np.max(np.abs(trace_fn(xs, ys))))

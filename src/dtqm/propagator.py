@@ -108,7 +108,6 @@ def _calibrate_magnitude(phases: np.ndarray, weight: float, center: float):
 
     def defect(magnitude: float) -> float:
         scaled = (weight * magnitude) ** 2 * gram
-        scaled = scaled.copy()
         scaled[np.diag_indices_from(scaled)] -= 1.0
         return float(np.abs(scaled).sum(axis=1).max())
 

@@ -20,7 +20,6 @@ from dtqm import (
     bilinear_field,
     build_kernel,
     check_criterion,
-    check_linearized,
     continuum_lagrangian_2d,
     ehrenfest_run,
     gauge_equivalence_run,
@@ -214,7 +213,7 @@ def test_acceptance_10_2d_linearized_criterion_and_charged_particle_limit():
     ]
     for a1, a2 in combos:
         model = VectorPotentialAction2D(constants, zero_potential(), a1, a2)
-        assert check_linearized(model, (-1.5, 1.5), 1296) < 1e-10
+        assert check_criterion(model, (-1.5, 1.5), 1296).trace_linearized < 1e-10
     # two-point ratio test along a direction where the dropped total
     # derivative vanishes, so the magnetic term is genuinely exercised
     x = np.array([0.6, 1.1])

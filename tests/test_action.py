@@ -218,7 +218,6 @@ def test_vp2d_mixed_trace_is_zero():
             block = np.asarray(model.d2s_dxdy(x, y))
             pert_trace = block[0, 0] + block[1, 1] - 2 * (-model.constants.mass / model.constants.time_step)
             assert pert_trace == 0.0
-            assert float(model.perturbation_mixed_trace(x, y)) == 0.0
 
 
 def test_continuum_lagrangian_free_particle():

@@ -282,14 +282,21 @@ def test_sweep_rejects_2d_action(tmp_path, capsys):
     assert "drives 1D actions only" in capsys.readouterr().err
 
 
-def test_threads_env_must_be_an_integer(tmp_path, monkeypatch, capsys):
-    out = str(tmp_path / "out")
-    cfg = write_config(tmp_path, "sweep.json", sweep_config(out, [1.0, 0.5, 0.25]))
-    monkeypatch.setenv("DTQM_THREADS", "two")
+def test_unwritable_output_is_config_error(tmp_path, capsys):
+    # An existing file where the output directory should go: exit 2, one line, no traceback.
+    blocker = tmp_path / "taken"
+    blocker.write_text("", encoding="utf-8")
+    cfg = write_config(tmp_path, "sweep.json", sweep_config(str(blocker), [1.0, 0.5, 0.25]))
     assert main(["sweep", "--config", cfg]) == 2
-    assert "DTQM_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("DTQM_THREADS", "-1")  # negative still means sequential
-    assert main(["sweep", "--config", cfg]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    # A directory where a data file should go fails the same way.
+    out = tmp_path / "out"
+    (out / "sweep_finest.csv").mkdir(parents=True)
+    cfg = write_config(tmp_path, "sweep.json", sweep_config(str(out), [1.0, 0.5, 0.25]))
+    assert main(["sweep", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot write output")
 
 
 def test_build_reports_kernel_diagnostics(tmp_path):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import dtqm.correspondence
 from dtqm import (
     BoundaryError,
     PhysicalConstants,
@@ -96,6 +97,11 @@ def test_hbar_sweep_quartic_deviation_shrinks():
     assert devs[-1] < devs[0]
     assert report.finest is not None
     assert len(report.finest.steps) == 31
+    # The finest run is measured against the one track the sweep shares.
+    assert report.max_deviation[-1] == report.finest.max_position_deviation()
+    model = quartic_factory(0.1)(1.0)
+    track = integrate(model, 1.0, invert_momentum(model, 1.0, 0.0), 30)
+    assert np.array_equal(report.finest.x_classical, track.positions)
 
 
 def test_hbar_sweep_harmonic_is_flat_and_small():
@@ -132,11 +138,17 @@ def test_hbar_sweep_records_per_run_errors_and_continues():
     assert any(math.isnan(d) for d in report.max_deviation)
 
 
-def test_hbar_sweep_threaded_matches_sequential():
-    sequential = hbar_sweep(quartic_factory(0.1), [1.0, 0.5, 0.25], 1.0, 0.0, 20, 128, max_workers=0)
-    threaded = hbar_sweep(quartic_factory(0.1), [1.0, 0.5, 0.25], 1.0, 0.0, 20, 128, max_workers=3)
-    assert sequential.max_deviation == threaded.max_deviation
-    assert sequential.monotone_flag == threaded.monotone_flag
+def test_hbar_sweep_inverts_the_momentum_map_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return invert_momentum(*args, **kwargs)
+
+    monkeypatch.setattr(dtqm.correspondence, "invert_momentum", counted)
+    report = hbar_sweep(quartic_factory(0.1), [1.0, 0.5, 0.25], 1.0, 0.0, 20, 128)
+    assert report.errors == {}
+    assert len(calls) == 1
 
 
 def test_gauge_equivalence_zero_phase():

@@ -13,7 +13,6 @@ from dtqm import (
     VectorPotentialAction2D,
     bilinear_field,
     check_criterion,
-    check_linearized,
     harmonic_potential,
     quadratic_phase,
     sine_field,
@@ -113,29 +112,31 @@ def test_vp2d_sine_field_breaks_constancy_but_not_linearization():
     report = check_criterion(model, (-1.0, 1.0), n_samples=1296)
     assert not report.is_constant
     assert report.trace_linearized == 0.0
-    assert check_linearized(model, (-1.0, 1.0), 1296) == 0.0
 
 
 def test_check_linearized_zero_fields():
     model = VectorPotentialAction2D(CONST, zero_potential(), zero_field(), zero_field())
-    assert check_linearized(model, (-1.0, 1.0)) == 0.0
+    assert check_criterion(model, (-1.0, 1.0)).trace_linearized == 0.0
 
 
 def test_check_linearized_quartic_perturbation_probe():
-    # Replacement perturbation eps (x1 - y1)^4 has trace 12 eps (x1 - y1)^2;
-    # the stratified grid over [-1, 1] reaches |x1 - y1| = 5/3 at most.
-    class Probe:
+    # An extra eps (x1 - y1)^4 adds 12 eps (x1 - y1)^2 to the trace of the
+    # mixed block; the stratified grid over [-1, 1] reaches |x1 - y1| = 5/3.
+    class Probe(VectorPotentialAction2D):
         kind = "quartic_perturbation_probe"
 
-        def perturbation_mixed_trace(self, x, y):
+        def d2s_dxdy(self, x, y):
+            block = super().d2s_dxdy(x, y)
             d = np.asarray(x)[..., 0] - np.asarray(y)[..., 0]
-            return 12.0 * 0.05 * d * d
+            block[..., 0, 0] += 12.0 * 0.05 * d * d
+            return block
 
-    value = check_linearized(Probe(), (-1.0, 1.0), 1296)
+    probe = Probe(CONST, zero_potential(), zero_field(), zero_field())
+    value = check_criterion(probe, (-1.0, 1.0), 1296).trace_linearized
     assert value == pytest.approx(12.0 * 0.05 * (5.0 / 3.0) ** 2, abs=1e-12)
     assert value > 0.0
 
 
 def test_check_linearized_rejects_1d_actions():
-    with pytest.raises(TypeError):
-        check_linearized(StandardAction(CONST, zero_potential()), (-1.0, 1.0))
+    # 1D actions have no linearized trace to report.
+    assert check_criterion(StandardAction(CONST, zero_potential()), (-1.0, 1.0)).trace_linearized is None
