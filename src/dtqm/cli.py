@@ -103,6 +103,7 @@ def _cmd_evolve(cfg: dict, outdir: str, formats: set[str]) -> tuple[int, dict, l
         "max_momentum_deviation": series.max_momentum_deviation(),
         "final_x_mean": float(series.x_mean[-1]),
         "final_norm": float(series.norm[-1]),
+        "packet_warnings": list(series.warnings),
     }
     failures = []
     if run["tracking_tolerance"] is not None:

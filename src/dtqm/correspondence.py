@@ -46,7 +46,10 @@ class BoundaryError(RuntimeError):
 
 @dataclass
 class EhrenfestSeries:
-    """Per-step observables of an evolving packet, plus the classical track."""
+    """Per-step observables of an evolving packet, plus the classical track.
+
+    ``warnings`` carries the initial packet's quality flags (see make_gaussian).
+    """
 
     steps: np.ndarray
     x_mean: np.ndarray
@@ -55,6 +58,7 @@ class EhrenfestSeries:
     norm: np.ndarray
     x_classical: np.ndarray
     p_classical: np.ndarray
+    warnings: tuple[str, ...] = ()
 
     def max_position_deviation(self) -> float:
         return float(np.max(np.abs(self.x_mean - self.x_classical)))
@@ -133,6 +137,7 @@ def _packet_run(
         norm=norms,
         x_classical=x_classical,
         p_classical=p_classical,
+        warnings=psi.warnings,
     )
 
 

@@ -1,9 +1,14 @@
-"""Dense one-step evolution kernels built from an action's phase.
+"""One-step evolution kernels built from an action's phase.
 
 The kernel matrix is U_jk = w A exp(i S(x_j, x_k) / hbar) with w the cell
 weight, so every entry has the same magnitude w |A| and all structure lives
-in the phase. Unitarity is quantified by the max-row-sum norm of
-U U^dagger - I, which bounds the worst-case action on normalized states.
+in the phase. For the 1D standard/gauged family the phase splits into
+diagonal potential/gauge terms and a kinetic term that depends on j - k
+only, so U = diag(left) K diag(right) with K a Toeplitz chirp; those kernels
+are applied by FFT. Every other kernel is applied as a dense matrix. The
+dense matrix and the unitarity defect are built on first read. Unitarity is
+quantified by the max-row-sum norm of U U^dagger - I, which bounds the
+worst-case action on normalized states.
 """
 
 import cmath
@@ -12,7 +17,8 @@ import math
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .action import ActionModel, StandardAction
+from .action import ActionModel, GaugedAction, StandardAction
+from .classical import NumericalError
 from .grid import SpatialGrid, WaveState, momentum_matrix
 
 __all__ = [
@@ -45,17 +51,50 @@ class CalibrationError(RuntimeError):
 
 
 class PropagatorKernel:
-    """One-step evolution matrix with its calibrated amplitude and defect."""
+    """One-step evolution kernel with its amplitude; matrix and defect built on first read.
 
-    __slots__ = ("grid", "model", "amplitude", "matrix", "unitarity_deviation")
+    ``factors`` is (left, spectrum, right) for kernels of the form
+    diag(left) K diag(right), with ``spectrum`` the FFT of the size-2N
+    circulant embedding of the Toeplitz matrix K; ``apply`` then costs
+    O(N log N). Without factors ``apply`` is the dense matvec.
+    """
 
-    def __init__(self, grid, model, amplitude, matrix, unitarity_deviation):
+    __slots__ = ("grid", "model", "amplitude", "_factors", "_matrix", "_deviation")
+
+    def __init__(self, grid, model, amplitude, factors, matrix):
         self.grid = grid
         self.model = model
         self.amplitude = amplitude
-        matrix.flags.writeable = False
-        self.matrix = matrix
-        self.unitarity_deviation = unitarity_deviation
+        self._factors = factors
+        if matrix is not None:
+            matrix.flags.writeable = False
+        self._matrix = matrix
+        self._deviation = None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            # A named array, as in build_kernel: numpy would otherwise reuse the
+            # temporary in place, and that loop rounds differently in the last bit.
+            phases = _finite(_phase_matrix(self.grid, self.model))
+            matrix = self.grid.weight * self.amplitude * phases
+            matrix.flags.writeable = False
+            self._matrix = matrix
+        return self._matrix
+
+    @property
+    def unitarity_deviation(self) -> float:
+        if self._deviation is None:
+            self._deviation = unitarity_defect(self.matrix)
+        return self._deviation
+
+    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
+        """U v, by FFT when the kernel has factors and as a dense matvec otherwise."""
+        if self._factors is None:
+            return self.matrix @ amplitudes
+        left, spectrum, right = self._factors
+        n = len(amplitudes)
+        return left * np.fft.ifft(spectrum * np.fft.fft(right * amplitudes, 2 * n))[:n]
 
 
 def magic_time_step(grid: SpatialGrid, mass: float, hbar: float) -> float:
@@ -87,13 +126,43 @@ def unitarity_defect(matrix: np.ndarray) -> float:
 
 
 def _phase_matrix(grid: SpatialGrid, model: ActionModel) -> np.ndarray:
-    if grid.dimension == 1:
-        x = grid.axis_points(0)
-        action = model.s(x[:, None], x[None, :])
-    else:
-        pts = grid.coordinates
-        action = model.s(pts[:, None, :], pts[None, :, :])
-    return np.exp(1j * np.asarray(action, dtype=float) / model.constants.hbar)
+    # Overflow is not reported as a warning: callers check that phases are finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if grid.dimension == 1:
+            x = grid.axis_points(0)
+            action = model.s(x[:, None], x[None, :])
+        else:
+            pts = grid.coordinates
+            action = model.s(pts[:, None, :], pts[None, :, :])
+        return np.exp(1j * np.asarray(action, dtype=float) / model.constants.hbar)
+
+
+def _finite(phases: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(phases)):
+        raise NumericalError("kernel phase is not finite on the grid")
+    return phases
+
+
+def _kernel_factors(grid: SpatialGrid, model: StandardAction, amplitude: complex):
+    """(left, spectrum, right) with U = diag(left) K diag(right), K_jk = kin[|j - k|].
+
+    S(x_j, x_k) = kin(x_j - x_k) + half_j + half_k + phi_j - phi_k, where
+    half = S(x, x) / 2 = -tau V(x) / 2 and the gauge term is exactly zero at
+    coincident points. K is embedded in a 2N circulant so one FFT pair
+    applies it for any N and any time step.
+    """
+    c = model.constants
+    x = grid.axis_points(0)
+    d = np.arange(grid.n_total) * grid.spacing[0]
+    # As in _phase_matrix, overflow is left to the finiteness checks below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = 0.5 * np.asarray(model.s(x, x), dtype=float)
+        gauge = np.asarray(model.phase.phi(x), dtype=float) if isinstance(model, GaugedAction) else 0.0
+        kin = _finite(np.exp(1j * c.mass * d * d / (2.0 * c.time_step * c.hbar)))
+        left = grid.weight * amplitude * _finite(np.exp(1j * (half + gauge) / c.hbar))
+        right = _finite(np.exp(1j * (half - gauge) / c.hbar))
+    spectrum = np.fft.fft(np.concatenate([kin, [0.0], kin[:0:-1]]))
+    return left, spectrum, right
 
 
 def _calibrate_magnitude(phases: np.ndarray, weight: float, center: float):
@@ -127,7 +196,7 @@ def _calibrate_magnitude(phases: np.ndarray, weight: float, center: float):
 
 
 def build_kernel(grid: SpatialGrid, model: ActionModel, amplitude_mode: str = "analytic") -> PropagatorKernel:
-    """Assemble the one-step kernel and record its unitarity deviation.
+    """Assemble the one-step kernel; its matrix and unitarity deviation are built on first read.
 
     ``analytic`` mode uses the continuum stationary-phase amplitude and is
     restricted to the standard/gauged family, where that value is exact at
@@ -135,7 +204,11 @@ def build_kernel(grid: SpatialGrid, model: ActionModel, amplitude_mode: str = "a
     magnitude by minimizing the recorded deviation inside a +-50% bracket
     around the analytic value; it accepts any action kind, including the
     inadmissible probes (whose deviation stays large no matter the
-    magnitude).
+    magnitude), and builds the dense matrix up front.
+
+    1D standard/gauged kernels store FFT factors and are applied by FFT in
+    either mode; every other kernel is applied as its dense matrix. A
+    non-finite kernel phase raises NumericalError.
     """
     if grid.dimension != model.dimension:
         raise ValueError(f"grid dimension {grid.dimension} != action dimension {model.dimension}")
@@ -145,8 +218,8 @@ def build_kernel(grid: SpatialGrid, model: ActionModel, amplitude_mode: str = "a
         raise ValueError(
             f"2D kernels are limited to {MAX_POINTS_PER_AXIS_2D} points per axis, got {grid.shape}"
         )
-    phases = _phase_matrix(grid, model)
     reference = analytic_amplitude(model)
+    phases = None
     if amplitude_mode == "analytic":
         if not isinstance(model, StandardAction):
             raise ValueError(
@@ -154,19 +227,23 @@ def build_kernel(grid: SpatialGrid, model: ActionModel, amplitude_mode: str = "a
             )
         amplitude = reference
     elif amplitude_mode == "calibrated":
+        phases = _phase_matrix(grid, model)
         magnitude, _ = _calibrate_magnitude(phases, grid.weight, abs(reference))
         amplitude = (reference / abs(reference)) * magnitude
     else:
         raise ValueError(f"unknown amplitude mode '{amplitude_mode}'")
-    matrix = grid.weight * amplitude * phases
-    return PropagatorKernel(grid, model, complex(amplitude), matrix, unitarity_defect(matrix))
+    amplitude = complex(amplitude)
+    # Exact types only: a subclass may override s() and break the factorization.
+    factors = _kernel_factors(grid, model, amplitude) if type(model) in (StandardAction, GaugedAction) else None
+    matrix = None if phases is None else grid.weight * amplitude * phases
+    return PropagatorKernel(grid, model, amplitude, factors, matrix)
 
 
 def evolve(kernel: PropagatorKernel, psi: WaveState) -> WaveState:
     """Advance a state by one step: psi' = U psi."""
     if psi.grid != kernel.grid:
         raise ValueError("state and kernel live on different grids")
-    return WaveState(kernel.grid, kernel.matrix @ psi.amplitudes, psi.warnings)
+    return WaveState(kernel.grid, kernel.apply(psi.amplitudes), psi.warnings)
 
 
 def _point(grid: SpatialGrid, index: int):

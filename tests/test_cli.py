@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import pytest
 
@@ -389,6 +390,48 @@ def test_boundary_violation_is_numerical_failure(tmp_path, capsys):
     cfg = write_config(tmp_path, "wall.json", payload)
     assert main(["evolve", "--config", cfg]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_evolve_reports_packet_warnings(tmp_path):
+    out = str(tmp_path / "out")
+    cfg = write_config(tmp_path, "evolve.json", harmonic_evolve_config(out))
+    assert main(["evolve", "--config", cfg]) == 0
+    assert read_report(out)["results"]["packet_warnings"] == []
+    # sigma = 0.1 sqrt(1/2) is below the resolvable limit 2 dx = 0.125.
+    payload = harmonic_evolve_config(out)
+    payload["run"] = {"x0": 0.5, "p0": 0.3, "n_steps": 5, "alpha": 0.1}
+    cfg = write_config(tmp_path, "narrow.json", payload)
+    assert main(["evolve", "--config", cfg]) == 0
+    report = read_report(out)
+    assert report["results"]["packet_warnings"] == ["axis 0: width 0.07071 below resolvable limit 0.125"]
+
+
+@pytest.mark.parametrize(
+    "command, run",
+    [
+        ("build", {"max_unitarity_deviation": 1e-8}),
+        ("build", {"amplitude_mode": "calibrated"}),
+        ("evolve", {"x0": 0.0, "p0": 0.0, "n_steps": 5}),
+    ],
+)
+def test_non_finite_kernel_phase_is_numerical_failure(tmp_path, capsys, command, run):
+    # V = 1e305 x^4 overflows on the grid, so the kernel phase is NaN there.
+    out = tmp_path / "out"
+    payload = {
+        "grid": {"n_points": 64, "x_min": -8.0, "spacing": 0.25},
+        "constants": {"mass": 1.0, "hbar": 1.0, "tau": "magic"},
+        "action": {"kind": "standard", "potential": {"name": "quartic", "strength": 1e305}},
+        "run": run,
+        "output": {"directory": str(out)},
+    }
+    cfg = write_config(tmp_path, f"{command}_overflow.json", payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning would be a second stderr line
+        assert main([command, "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (out / "report.json").exists()
 
 
 def test_grid_block_rejected_where_unused(tmp_path):

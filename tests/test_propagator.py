@@ -283,3 +283,79 @@ def test_2d_kernel_calibrates_to_exact_unitary_at_magic_step():
     kernel = build_kernel(g, model, "calibrated")
     assert abs(kernel.amplitude) == pytest.approx(1.0 / (2.0 * math.pi * HBAR * tau), rel=1e-9)
     assert kernel.unitarity_deviation < 1e-8
+
+
+@pytest.mark.parametrize("n", [16, 255, 1024])
+@pytest.mark.parametrize("tau_factor", [1.0, 0.93])
+@pytest.mark.parametrize("mode", ["analytic", "calibrated"])
+def test_fft_apply_matches_dense_matrix(n, tau_factor, mode):
+    # Oracle: the FFT apply of the standard/gauged family against the dense kernel.
+    from dtqm import linear_phase
+
+    g = make_grid(n, -8.0, 16.0 / n)
+    c = PhysicalConstants(1.0, tau_factor * magic_time_step(g, 1.0, HBAR), HBAR)
+    pot = harmonic_potential(1.0, 1.0)
+    rng = np.random.default_rng(n)
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    models = [StandardAction(c, pot), GaugedAction(c, pot, linear_phase(0.7)), GaugedAction(c, pot, quadratic_phase(0.3))]
+    for model in models:
+        kernel = build_kernel(g, model, mode)
+        assert float(np.max(np.abs(kernel.apply(v) - kernel.matrix @ v))) <= 1e-12 * np.linalg.norm(v)
+
+
+def test_dense_kernels_evolve_by_their_matrix():
+    from dtqm import VectorPotentialAction2D, bilinear_field
+
+    g = make_grid(32, -4.0, 0.25)
+    c = PhysicalConstants(1.0, magic_time_step(g, 1.0, HBAR), HBAR)
+    g2 = make_grid_2d(8, -1.0, 0.25)
+    c2 = PhysicalConstants(1.0, magic_time_step(g2, 1.0, HBAR), HBAR)
+    cases = [
+        (g, QuarticAction(c, zero_potential(), 0.1)),
+        (g, SineAction(c, 1.0)),
+        (g2, VectorPotentialAction2D(c2, zero_potential(), bilinear_field(0.1), bilinear_field(0.0))),
+    ]
+    rng = np.random.default_rng(3)
+    for grid, model in cases:
+        kernel = build_kernel(grid, model, "calibrated")
+        v = rng.normal(size=grid.n_total) + 1j * rng.normal(size=grid.n_total)
+        assert np.array_equal(evolve(kernel, WaveState(grid, v)).amplitudes, kernel.matrix @ v)
+
+
+def test_analytic_evolve_path_does_no_dense_work(monkeypatch):
+    import dtqm.propagator
+    from dtqm import ehrenfest_run, gauge_equivalence_run
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense N x N work on the evolve path")
+
+    monkeypatch.setattr(dtqm.propagator, "_phase_matrix", forbidden)
+    monkeypatch.setattr(dtqm.propagator, "unitarity_defect", forbidden)
+    g = make_grid(1024, -8.0, 16.0 / 1024)
+    series = ehrenfest_run(magic_model(g, harmonic_potential(1.0, 1.0)), g, 0.5, 0.3, 1.0, 20)
+    assert abs(series.norm[-1] - 1.0) < 1e-10
+    small = make_grid(256, -8.0, 0.0625)
+    c = PhysicalConstants(1.0, magic_time_step(small, 1.0, HBAR), HBAR)
+    worst = gauge_equivalence_run(small, c, harmonic_potential(1.0, 1.0), quadratic_phase(0.3), 0.5, 0.3, n_steps=20)
+    assert worst < 1e-10
+
+
+def test_unitarity_deviation_is_computed_once(monkeypatch):
+    import dtqm.propagator
+
+    calls = []
+
+    def counting(matrix):
+        calls.append(1)
+        return unitarity_defect(matrix)
+
+    monkeypatch.setattr(dtqm.propagator, "unitarity_defect", counting)
+    g = grid128()
+    kernel = build_kernel(g, magic_model(g, harmonic_potential(1.0, 1.0)), "analytic")
+    assert not calls
+    first = kernel.unitarity_deviation
+    assert kernel.unitarity_deviation == first == unitarity_defect(kernel.matrix)
+    assert len(calls) == 1
+    # Built on first read bit for bit as a calibrated build assembles it.
+    phases = dtqm.propagator._phase_matrix(g, kernel.model)
+    assert np.array_equal(kernel.matrix, g.weight * kernel.amplitude * phases)
