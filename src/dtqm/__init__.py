@@ -19,6 +19,7 @@ from .action import (
     VectorPotentialAction2D,
     continuum_lagrangian,
     continuum_lagrangian_2d,
+    is_standard_family,
     lagrangian_limit,
     lagrangian_limit_2d,
 )
@@ -54,6 +55,7 @@ from .grid import (
     make_grid_2d,
     momentum_matrix,
     norm,
+    packet_observables,
     position_spread,
 )
 from .potentials import (

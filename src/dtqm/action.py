@@ -18,6 +18,7 @@ __all__ = [
     "QuarticAction",
     "SineAction",
     "VectorPotentialAction2D",
+    "is_standard_family",
     "continuum_lagrangian",
     "lagrangian_limit",
     "continuum_lagrangian_2d",
@@ -137,6 +138,17 @@ class GaugedAction(StandardAction):
 
     def ds_dy(self, x, y):
         return super().ds_dy(x, y) - self.phase.dphi(np.asarray(y, dtype=float))
+
+
+def is_standard_family(model: ActionModel) -> bool:
+    """True for exactly StandardAction and GaugedAction, not their subclasses.
+
+    Fast paths rely on the family's structure: a phase that factors into
+    diagonal and Toeplitz parts, and the constant d2S/dxdy = -m / tau that
+    makes the equation of motion linear. A subclass may override an
+    evaluator and break both, so it takes the general path.
+    """
+    return type(model) in (StandardAction, GaugedAction)
 
 
 class QuarticAction(ActionModel):

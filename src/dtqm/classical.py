@@ -6,9 +6,10 @@ one-step actions,
     dS(x_now, x_prev)/dx_now + dS(x_next, x_now)/dx_now = 0,
 
 and is solved for x_next. For the admissible 1D family this is linear in
-x_next (the familiar position-leapfrog recursion); for inadmissible probes
-a root may not exist inside any finite search region, which is exactly the
-failure mode the probes are built to exhibit.
+x_next (the familiar position-leapfrog recursion), so ``integrate`` and
+``invert_momentum`` solve it in closed form; for inadmissible probes a root
+may not exist inside any finite search region, which is exactly the failure
+mode the probes are built to exhibit.
 """
 
 import math
@@ -17,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .action import ActionModel
+from .action import ActionModel, is_standard_family
 from .rootfind import newton_solve, scan_roots
 
 __all__ = [
@@ -95,10 +96,9 @@ def _gradient_tolerance(model: ActionModel, *coords) -> float:
     return GRADIENT_TOL * (c.mass / c.time_step) * scale
 
 
-def _default_radius(model: ActionModel, x_now, x_prev) -> float:
+def _default_radius(model: ActionModel, x_now: float, x_prev: float) -> float:
     c = model.constants
-    displacement = float(np.max(np.abs(np.asarray(x_now) - np.asarray(x_prev))))
-    return 10.0 * displacement + 10.0 * math.sqrt(c.hbar * c.time_step / c.mass)
+    return 10.0 * abs(x_now - x_prev) + 10.0 * math.sqrt(c.hbar * c.time_step / c.mass)
 
 
 def _eom_step_1d(model, x_prev, x_now):
@@ -173,25 +173,50 @@ def eom_step(model: ActionModel, x_prev, x_now) -> EomResult:
     return _eom_step_2d(model, x_prev, x_now)
 
 
+def _closed_form_steps(model: ActionModel, track: list, n_steps: int) -> int:
+    """Extend ``track`` by explicit steps of the standard family; return how many were taken.
+
+    The constant d2S/dxdy = -m / tau makes the equation of motion linear in
+    x_next, so one Newton step from x_now solves it exactly:
+    x_next = x_now + (tau / m) g(x_now). A step counts only when that root
+    lies strictly inside eom_step's search region (a NaN root does not);
+    otherwise the caller's scan decides that step and every later one.
+    """
+    ratio = model.constants.time_step / model.constants.mass
+    x_prev, x_now = track[-2], track[-1]
+    for n in range(n_steps):
+        g = float(model.ds_dx(x_now, x_prev)) + float(model.ds_dy(x_now, x_now))
+        x_next = x_now + ratio * g
+        radius = _default_radius(model, x_now, x_prev)
+        if not x_now - radius < x_next < x_now + radius:
+            return n
+        track.append(x_next)
+        x_prev, x_now = x_now, x_next
+    return n_steps
+
+
 def integrate(model: ActionModel, x0, x_minus1, n_steps: int) -> ClassicalTrajectory:
-    """Iterate eom_step from the seed pair (x_{-1}, x_0) for n_steps steps.
+    """Iterate the equation of motion from the seed pair (x_{-1}, x_0) for n_steps steps.
 
     Stops early with status no_solution when a step has no root; a
     non-unique step is resolved (closest to free motion), flagged, and
-    integration continues.
+    integration continues. Steps of the exact standard/gauged family are
+    taken in closed form while their root lies inside eom_step's search
+    region; from the first one that does not, eom_step decides every step.
+    Momenta and residuals are evaluated over the finished track.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be at least 1, got {n_steps}")
     one_d = model.dimension == 1
-    x_prev = float(x_minus1) if one_d else np.asarray(x_minus1, dtype=float)
-    x_now = float(x0) if one_d else np.asarray(x0, dtype=float)
-    positions = [x_now]
-    momenta = [momentum_from_pair(model, x_now, x_prev)]
-    residuals = [0.0]
+    if one_d:
+        track = [float(x_minus1), float(x0)]
+    else:
+        track = [np.asarray(x_minus1, dtype=float), np.asarray(x0, dtype=float)]
     status = TrajectoryStatus.COMPLETE
     failure_step = None
-    for n in range(1, n_steps + 1):
-        result = eom_step(model, x_prev, x_now)
+    done = _closed_form_steps(model, track, n_steps) if is_standard_family(model) else 0
+    for n in range(done + 1, n_steps + 1):
+        result = eom_step(model, track[-2], track[-1])
         if result.status is TrajectoryStatus.NO_SOLUTION:
             status = TrajectoryStatus.NO_SOLUTION
             failure_step = n
@@ -199,15 +224,18 @@ def integrate(model: ActionModel, x0, x_minus1, n_steps: int) -> ClassicalTrajec
         if result.status is TrajectoryStatus.NON_UNIQUE and status is TrajectoryStatus.COMPLETE:
             status = TrajectoryStatus.NON_UNIQUE
             failure_step = n
-        x_prev, x_now = x_now, result.x_next
-        positions.append(x_now)
-        momenta.append(momentum_from_pair(model, x_now, x_prev))
-        residuals.append(result.residual)
+        track.append(result.x_next)
+    # Row 0 is the seed x_{-1}; the residual of step n is |g| at the root it kept.
+    xs = np.array(track)
+    momenta = np.asarray(model.ds_dx(xs[1:], xs[:-1]), dtype=float)
+    balance = np.abs(momenta[:-1] + np.asarray(model.ds_dy(xs[2:], xs[1:-1]), dtype=float))
+    if not one_d:
+        balance = balance.max(axis=-1)
     return ClassicalTrajectory(
-        times=np.arange(len(positions)),
-        positions=np.array(positions),
-        momenta=np.array(momenta),
-        residuals=np.array(residuals),
+        times=np.arange(len(xs) - 1),
+        positions=xs[1:],
+        momenta=momenta,
+        residuals=np.concatenate([[0.0], balance]),
         status=status,
         failure_step=failure_step,
     )
@@ -239,10 +267,15 @@ def _invert_momentum_1d(model, x0: float, p0: float) -> float:
         # derivative of dS/dx (x0, xi) with respect to xi
         return model.d2s_dxdy(x0, xi)
 
-    gtol = _gradient_tolerance(model, x0, p0 * c.time_step / c.mass)
     guess = x0 - c.time_step * p0 / c.mass
     radius = 10.0 * (abs(c.time_step * p0 / c.mass) + math.sqrt(c.hbar * c.time_step / c.mass))
     lo, hi = guess - radius, guess + radius
+    if is_standard_family(model):
+        # g is linear in xi with slope d2S/dxdy = -m / tau: one Newton step is exact.
+        root = guess + (c.time_step / c.mass) * float(g(guess))
+        if lo < root < hi:
+            return root
+    gtol = _gradient_tolerance(model, x0, p0 * c.time_step / c.mass)
     xtol = 1e-13 * max(1.0, abs(guess) + radius)
     roots, _, _ = scan_roots(g, dg, lo, hi, SCAN_SUBINTERVALS, gtol, xtol, 0.0)
     if not roots:

@@ -1,7 +1,8 @@
 """Command-line driver: validate a config, run one experiment, write reports.
 
 Exit codes are a stable contract: 0 success/pass, 1 tolerance failure,
-2 configuration error, 3 numerical failure (solver or calibration).
+2 configuration error, 3 numerical failure (solver, calibration, boundary
+safety, criterion sampling or linear algebra).
 Identical configs reproduce byte-identical CSV and JSON outputs except for
 the wall-time field of the run report.
 """
@@ -18,7 +19,7 @@ from . import __version__
 from .classical import NumericalError, integrate, invert_momentum
 from .config import ConfigError, build_action, build_constants, build_grid, load_config
 from .correspondence import BoundaryError, ehrenfest_run, hbar_sweep
-from .criterion import check_criterion
+from .criterion import CriterionError, check_criterion
 from .propagator import CalibrationError, build_kernel, magic_time_step
 
 EXIT_OK = 0
@@ -29,27 +30,19 @@ EXIT_NUMERICAL = 3
 CSV_VERSION = "dtqm-csv-v1"
 
 
-def _write_csv(path: str, columns: list[str], rows) -> None:
-    lines = [f"# {CSV_VERSION} columns: {','.join(columns)}"]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
+def _write_csv(path: str, header: list[str], columns) -> None:
+    """One line per row of the given columns; ints and floats print as Python's repr."""
+    cells = [map(repr, column.tolist()) for column in columns]
+    lines = [f"# {CSV_VERSION} columns: {','.join(header)}", ",".join(header)]
+    lines.extend(map(",".join, zip(*cells)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def _write_series_csv(path: str, s) -> None:
     """Per-step packet observables next to the classical track."""
-    rows = zip(s.steps, s.x_mean, s.p_mean, s.x_spread, s.norm, s.x_classical, s.p_classical)
-    _write_csv(path, ["step", "x_mean", "p_mean", "x_spread", "norm", "x_classical", "p_classical"], rows)
-
-
-def _cell(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+    columns = [s.steps, s.x_mean, s.p_mean, s.x_spread, s.norm, s.x_classical, s.p_classical]
+    _write_csv(path, ["step", "x_mean", "p_mean", "x_spread", "norm", "x_classical", "p_classical"], columns)
 
 
 def _write_report(outdir: str, report: dict) -> str:
@@ -127,8 +120,8 @@ def _cmd_classical(cfg: dict, outdir: str, formats: set[str]) -> tuple[int, dict
         x_minus1 = invert_momentum(model, run["x0"], run["p0"])
     trajectory = integrate(model, run["x0"], x_minus1, run["n_steps"])
     if "csv" in formats:
-        rows = zip(trajectory.times, trajectory.positions, trajectory.momenta, trajectory.residuals)
-        _write_csv(os.path.join(outdir, "classical.csv"), ["step", "x", "p", "residual"], rows)
+        columns = [trajectory.times, trajectory.positions, trajectory.momenta, trajectory.residuals]
+        _write_csv(os.path.join(outdir, "classical.csv"), ["step", "x", "p", "residual"], columns)
     results = {
         "status": trajectory.label(),
         "steps_completed": int(trajectory.times[-1]),
@@ -243,15 +236,17 @@ def main(argv=None) -> int:
             "wall_time_s": time.perf_counter() - started,
         }
         _write_report(outdir, report)
+    # LinAlgError is a ValueError, so it has to be caught first; nothing in
+    # load_config does linear algebra, so it always comes from the numerics.
+    except (CalibrationError, NumericalError, BoundaryError, CriterionError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CalibrationError, NumericalError, BoundaryError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     for line in failures:
         print(f"FAIL: {line}", file=sys.stderr)
     return code

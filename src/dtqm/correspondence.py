@@ -19,7 +19,7 @@ from .classical import (
     integrate,
     invert_momentum,
 )
-from .grid import SpatialGrid, apply_gauge_phase, make_gaussian, make_grid
+from .grid import SpatialGrid, apply_gauge_phase, make_gaussian, make_grid, packet_observables
 from .potentials import GaugePhase, Potential
 from .propagator import build_kernel, evolve
 
@@ -34,6 +34,9 @@ __all__ = [
 
 BOUNDARY_SIGMAS = 5.0
 MONOTONE_SLACK = 1e-6
+# States a packet run holds at once: its memory is BLOCK_ROWS x N amplitudes
+# however many steps it takes.
+BLOCK_ROWS = 64
 
 
 class BoundaryError(RuntimeError):
@@ -67,21 +70,6 @@ class EhrenfestSeries:
         return float(np.max(np.abs(self.p_mean - self.p_classical)))
 
 
-def _observables(amps: np.ndarray, xs: np.ndarray, weight: float, dx: float, hbar: float):
-    """Mean position/momentum, spread, and norm; means divided by the norm.
-
-    Normalizing by the current norm keeps the series meaningful even when a
-    non-magic time step lets the norm drift.
-    """
-    dens = np.abs(amps) ** 2
-    nsq = weight * float(dens.sum())
-    x_mean = weight * float((xs * dens).sum()) / nsq
-    x_sq = weight * float((xs * xs * dens).sum()) / nsq
-    dpsi = (np.roll(amps, -1) - np.roll(amps, 1)) / (2.0 * dx)
-    p_mean = (weight * np.vdot(amps, -1j * hbar * dpsi)).real / nsq
-    return x_mean, p_mean, math.sqrt(max(x_sq - x_mean * x_mean, 0.0)), math.sqrt(nsq)
-
-
 def _classical_track(model: ActionModel, x0: float, p0: float, n_steps: int):
     """Positions and momenta of the discrete classical run seeded at (x0, p0)."""
     if n_steps < 0:
@@ -103,32 +91,43 @@ def _packet_run(
     track: tuple[np.ndarray, np.ndarray],
     amplitude_mode: str,
 ) -> EhrenfestSeries:
-    """Evolve a Gaussian packet along a given classical track and record observables."""
+    """Evolve a Gaussian packet along a given classical track and record observables.
+
+    The amplitudes are evolved block by block: up to BLOCK_ROWS states are
+    applied into one array and reduced to observables in one pass. A
+    non-finite amplitude raises NumericalError.
+    """
     x_classical, p_classical = track
     hbar = model.constants.hbar
     sigma = alpha * math.sqrt(hbar / 2.0)
     lo = grid.x_min[0]
     hi = lo + grid.extent[0]
-    for n, xc in enumerate(x_classical):
-        if xc - BOUNDARY_SIGMAS * sigma < lo or xc + BOUNDARY_SIGMAS * sigma > hi:
-            raise BoundaryError(
-                n, f"{BOUNDARY_SIGMAS:.0f}-sigma envelope reaches the box edge at step {n}"
-            )
+    outside = (x_classical - BOUNDARY_SIGMAS * sigma < lo) | (x_classical + BOUNDARY_SIGMAS * sigma > hi)
+    if outside.any():
+        n = int(np.argmax(outside))
+        raise BoundaryError(n, f"{BOUNDARY_SIGMAS:.0f}-sigma envelope reaches the box edge at step {n}")
 
     kernel = build_kernel(grid, model, amplitude_mode)
     psi = make_gaussian(grid, x0, p0, alpha, hbar)
-    xs = grid.axis_points(0)
     n_record = len(x_classical)
-    x_mean = np.empty(n_record)
-    p_mean = np.empty(n_record)
-    x_spread = np.empty(n_record)
-    norms = np.empty(n_record)
-    for n in range(n_record):
-        x_mean[n], p_mean[n], x_spread[n], norms[n] = _observables(
-            psi.amplitudes, xs, grid.weight, grid.spacing[0], hbar
-        )
-        if n < n_record - 1:
-            psi = evolve(kernel, psi)
+    block = np.empty((min(BLOCK_ROWS, n_record), grid.n_total), dtype=complex)
+    pieces = []
+    # Overflow is not reported as a warning: every row's norm is checked below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_record, len(block)):
+            # A block after the first follows a full one: its first state is
+            # the next step from that block's last row.
+            block[0] = kernel.apply(block[-1]) if start else psi.amplitudes
+            rows = block[: n_record - start]
+            for r in range(1, len(rows)):
+                rows[r] = kernel.apply(rows[r - 1])
+            observables = packet_observables(rows, grid, hbar)
+            # A row's norm is finite exactly when all of its amplitudes are.
+            finite = np.isfinite(observables[3])
+            if not finite.all():
+                raise NumericalError(f"packet amplitudes are not finite at step {start + int(np.argmin(finite))}")
+            pieces.append(observables)
+    x_mean, p_mean, x_spread, norms = (np.concatenate(column) for column in zip(*pieces))
     return EhrenfestSeries(
         steps=np.arange(n_record),
         x_mean=x_mean,
@@ -167,13 +166,18 @@ def ehrenfest_run(
 
 @dataclass
 class CorrespondenceReport:
-    """Deviation-versus-hbar summary of a sweep."""
+    """Deviation-versus-hbar summary of a sweep.
+
+    ``errors`` and ``packet_warnings`` are keyed by hbar and list only the
+    runs that failed or whose packet make_gaussian flagged.
+    """
 
     hbar_values: tuple[float, ...]
     max_deviation: tuple[float, ...]
     monotone_flag: bool
     finest: EhrenfestSeries | None
     errors: dict[float, str] = field(default_factory=dict)
+    packet_warnings: dict[float, tuple[str, ...]] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return {
@@ -181,6 +185,7 @@ class CorrespondenceReport:
             "max_deviation": list(self.max_deviation),
             "monotone_flag": self.monotone_flag,
             "errors": {repr(k): v for k, v in self.errors.items()},
+            "packet_warnings": {repr(k): list(v) for k, v in self.packet_warnings.items()},
         }
 
 
@@ -208,7 +213,7 @@ def hbar_sweep(
     another against it. Each run gets its own grid: the spacing is retuned
     so the shared time step is that grid's exact-unitarity step, and the
     packet width alpha sqrt(hbar / 2) shrinks along with hbar. Per-run
-    failures are recorded and the sweep continues.
+    failures and packet quality flags are recorded and the sweep continues.
     """
     hbars = [float(h) for h in hbars]
     if len(hbars) < 3:
@@ -232,6 +237,7 @@ def hbar_sweep(
 
     deviations = []
     errors: dict[float, str] = {}
+    packet_warnings: dict[float, tuple[str, ...]] = {}
     finest = None
     for h, model in zip(hbars, models):
         grid = _sweep_grid(h, mass, tau, n_points, center)
@@ -242,6 +248,8 @@ def hbar_sweep(
             deviations.append(float("nan"))
         else:
             deviations.append(finest.max_position_deviation())
+            if finest.warnings:
+                packet_warnings[h] = finest.warnings
 
     # A NaN deviation fails every comparison, so it is never monotone.
     monotone = not errors and all(b <= a + MONOTONE_SLACK for a, b in zip(deviations, deviations[1:]))
@@ -251,6 +259,7 @@ def hbar_sweep(
         monotone_flag=monotone,
         finest=finest,
         errors=errors,
+        packet_warnings=packet_warnings,
     )
 
 

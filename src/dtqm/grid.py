@@ -21,6 +21,7 @@ __all__ = [
     "expect_x",
     "expect_p",
     "position_spread",
+    "packet_observables",
     "make_gaussian",
     "apply_gauge_phase",
     "momentum_matrix",
@@ -183,6 +184,27 @@ def position_spread(psi: WaveState) -> np.ndarray:
     mean = psi.grid.coordinates.T @ dens
     second = (psi.grid.coordinates**2).T @ dens
     return np.sqrt(np.maximum(second - mean**2, 0.0))
+
+
+def packet_observables(block: np.ndarray, grid: SpatialGrid, hbar: float):
+    """Mean position and momentum, position spread and norm of each row of a 1D block.
+
+    Each row holds the raw amplitudes of one state. The means are divided by
+    the row's squared norm, so a series stays meaningful when a non-magic
+    time step lets the norm drift. The momentum is expect_p's central
+    difference in the form w (hbar / dx) Im sum_j conj(a_j) a_{j+1}, with
+    periodic wraparound. Returns four arrays: (x_mean, p_mean, x_spread, norm).
+    """
+    xs = grid.axis_points(0)
+    w = grid.weight
+    dens = np.abs(block) ** 2
+    nsq = w * dens.sum(axis=1)
+    x_mean = w * (xs * dens).sum(axis=1) / nsq
+    x_sq = w * (xs * xs * dens).sum(axis=1) / nsq
+    # Pairwise sums of the imaginary parts; the last term closes the periodic wrap.
+    hop = (block[:, :-1].conj() * block[:, 1:]).imag.sum(axis=1) + (block[:, -1].conj() * block[:, 0]).imag
+    p_mean = w * (hbar / grid.spacing[0]) * hop / nsq
+    return x_mean, p_mean, np.sqrt(np.maximum(x_sq - x_mean * x_mean, 0.0)), np.sqrt(nsq)
 
 
 def _per_axis(value, dim: int) -> np.ndarray:

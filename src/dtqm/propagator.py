@@ -17,7 +17,7 @@ import math
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .action import ActionModel, GaugedAction, StandardAction
+from .action import ActionModel, GaugedAction, StandardAction, is_standard_family
 from .classical import NumericalError
 from .grid import SpatialGrid, WaveState, momentum_matrix
 
@@ -233,8 +233,7 @@ def build_kernel(grid: SpatialGrid, model: ActionModel, amplitude_mode: str = "a
     else:
         raise ValueError(f"unknown amplitude mode '{amplitude_mode}'")
     amplitude = complex(amplitude)
-    # Exact types only: a subclass may override s() and break the factorization.
-    factors = _kernel_factors(grid, model, amplitude) if type(model) in (StandardAction, GaugedAction) else None
+    factors = _kernel_factors(grid, model, amplitude) if is_standard_family(model) else None
     matrix = None if phases is None else grid.weight * amplitude * phases
     return PropagatorKernel(grid, model, amplitude, factors, matrix)
 

@@ -13,13 +13,18 @@ from dtqm import (
     TrajectoryStatus,
     VectorPotentialAction2D,
     bilinear_field,
+    build_kernel,
+    cosine_well_potential,
     eom_step,
     harmonic_potential,
     integrate,
     invert_momentum,
+    is_standard_family,
     leapfrog_reference,
+    make_grid,
     momentum_from_pair,
     quadratic_phase,
+    quartic_potential,
     zero_field,
     zero_potential,
 )
@@ -264,3 +269,97 @@ def test_newton_solve_singular_jacobian_returns_no_root():
     root, residual = newton_solve(g, lambda x: np.ones((2, 2)), np.zeros(2), 1e-12, 60)
     assert root is None
     assert residual == 1.0
+
+
+# --- closed-form steps of the standard family vs the general scan path
+
+
+class ScanStandard(StandardAction):
+    """Same physics as StandardAction; a subclass, so it takes the general scan path."""
+
+
+class ScanGauged(GaugedAction):
+    """Same physics as GaugedAction; a subclass, so it takes the general scan path."""
+
+
+def _closed_and_scan_pairs():
+    c = PhysicalConstants(1.0, 0.1, HBAR)
+    pots = {
+        "harmonic": harmonic_potential(1.0, 1.0),
+        "quartic": quartic_potential(0.05),
+        "cosine_well": cosine_well_potential(6.0, 0.35),
+    }
+    pairs = [pytest.param(StandardAction(c, pot), ScanStandard(c, pot), id=name) for name, pot in pots.items()]
+    phase = quadratic_phase(0.3)
+    pot = pots["cosine_well"]
+    pairs.append(pytest.param(GaugedAction(c, pot, phase), ScanGauged(c, pot, phase), id="gauged"))
+    return pairs
+
+
+@pytest.mark.parametrize("fast, scan", _closed_and_scan_pairs())
+def test_closed_form_integrate_matches_scan_path(fast, scan):
+    assert is_standard_family(fast) and not is_standard_family(scan)
+    a = integrate(fast, 1.0, 0.97, 400)
+    b = integrate(scan, 1.0, 0.97, 400)
+    assert (a.status, a.failure_step) == (b.status, b.failure_step) == (TrajectoryStatus.COMPLETE, None)
+    # Relative to the track's scale: the two roundings differ near zero crossings too.
+    for u, v in ((a.positions, b.positions), (a.momenta, b.momenta)):
+        np.testing.assert_allclose(u, v, rtol=0, atol=1e-12 * float(np.max(np.abs(v))))
+    tol = 1e-10 * (1.0 / 0.1) * max(1.0, float(np.max(np.abs(a.positions))))
+    assert a.residuals[0] == 0.0 and a.residuals.max() < tol
+    p0 = 0.7
+    np.testing.assert_allclose(invert_momentum(fast, 1.0, p0), invert_momentum(scan, 1.0, p0), rtol=1e-12)
+
+
+@pytest.mark.parametrize("omega, x_minus1, label", [(20.0, 1.0, "no_solution_at(1)"), (19.5, 0.9, "no_solution_at(15)")])
+def test_closed_form_hands_over_to_the_scan_outside_the_search_region(omega, x_minus1, label):
+    # omega * tau near 2: the linear root leaves [x_now - R, x_now + R], so
+    # the scan decides that step and reports no_solution on both paths.
+    c = PhysicalConstants(1.0, 0.1, HBAR)
+    pot = harmonic_potential(1.0, omega)
+    a = integrate(StandardAction(c, pot), 1.0, x_minus1, 40)
+    b = integrate(ScanStandard(c, pot), 1.0, x_minus1, 40)
+    assert a.label() == b.label() == label
+    np.testing.assert_allclose(a.positions, b.positions, rtol=0, atol=1e-12 * float(np.max(np.abs(b.positions))))
+    np.testing.assert_array_equal(a.times, b.times)
+
+
+def test_closed_form_path_runs_no_scan(monkeypatch):
+    import dtqm.classical
+    import dtqm.rootfind
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("root scan on the closed-form path")
+
+    monkeypatch.setattr(dtqm.rootfind, "scan_roots", forbidden)
+    monkeypatch.setattr(dtqm.classical, "scan_roots", forbidden)
+    c = PhysicalConstants(1.0, 0.1, HBAR)
+    for model in (
+        StandardAction(c, harmonic_potential(1.0, 1.0)),
+        GaugedAction(c, cosine_well_potential(6.0, 0.35), quadratic_phase(0.3)),
+    ):
+        x_m1 = invert_momentum(model, 1.0, 0.4)
+        traj = integrate(model, 1.0, x_m1, 200)
+        assert traj.status is TrajectoryStatus.COMPLETE and len(traj.positions) == 201
+        assert traj.momenta[0] == pytest.approx(0.4, abs=1e-12)
+
+
+def test_subclass_takes_the_scan_path_and_the_dense_kernel(monkeypatch):
+    import dtqm.classical
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return scan_roots(*args, **kwargs)
+
+    monkeypatch.setattr(dtqm.classical, "scan_roots", counted)
+    c = PhysicalConstants(1.0, 0.1, HBAR)
+    pot = harmonic_potential(1.0, 1.0)
+    integrate(StandardAction(c, pot), 1.0, 0.98, 20)
+    assert not calls
+    integrate(ScanStandard(c, pot), 1.0, 0.98, 20)
+    assert len(calls) == 20
+    grid = make_grid(32, -4.0, 0.25)
+    assert build_kernel(grid, StandardAction(c, pot))._factors is not None
+    assert build_kernel(grid, ScanStandard(c, pot))._factors is None

@@ -4,8 +4,10 @@ import json
 import os
 import warnings
 
+import numpy as np
 import pytest
 
+from dtqm import CriterionError
 from dtqm.cli import main
 
 
@@ -444,3 +446,76 @@ def test_grid_block_rejected_where_unused(tmp_path):
     }
     cfg = write_config(tmp_path, "gridded.json", payload)
     assert main(["classical", "--config", cfg]) == 2
+
+
+def test_sweep_reports_packet_warnings(tmp_path):
+    out = str(tmp_path / "out")
+    cfg = write_config(tmp_path, "sweep.json", sweep_config(out, [1.0, 0.5, 0.25]))
+    assert main(["sweep", "--config", cfg]) == 0
+    assert read_report(out)["results"]["sweep"]["packet_warnings"] == {}
+    payload = sweep_config(out, [1.0, 0.5, 0.25])
+    payload["run"]["alpha"] = 0.1
+    cfg = write_config(tmp_path, "narrow.json", payload)
+    assert main(["sweep", "--config", cfg]) == 0
+    warned = read_report(out)["results"]["sweep"]["packet_warnings"]
+    assert sorted(warned) == ["0.25", "0.5", "1.0"]
+    assert all(len(flags) == 1 and "below resolvable limit" in flags[0] for flags in warned.values())
+
+
+def test_csv_writer_bytes(tmp_path):
+    from dtqm.cli import _write_csv
+
+    path = tmp_path / "t.csv"
+    columns = [
+        np.arange(4),
+        np.array([0.1, -0.0, 1e-300, np.inf]),
+        np.array([1.0 / 3.0, 2.5e16, 123456789.0, 5e-324]),
+    ]
+    _write_csv(str(path), ["step", "a", "b"], columns)
+    assert path.read_bytes() == (
+        b"# dtqm-csv-v1 columns: step,a,b\n"
+        b"step,a,b\n"
+        b"0,0.1,0.3333333333333333\n"
+        b"1,-0.0,2.5e+16\n"
+        b"2,1e-300,123456789.0\n"
+        b"3,inf,5e-324\n"
+    )
+
+
+def _check_action_config(outdir):
+    return {
+        "constants": {"mass": 1.0, "hbar": 1.0, "tau": 0.5},
+        "action": {"kind": "standard", "potential": {"name": "harmonic", "omega": 1.0}},
+        "run": {"domain": [-2.0, 2.0], "expect": "admissible"},
+        "output": {"directory": outdir},
+    }
+
+
+def test_criterion_error_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    import dtqm.cli
+
+    def broken(*args, **kwargs):
+        raise CriterionError("action evaluator failed at x=0.5, y=-0.5")
+
+    monkeypatch.setattr(dtqm.cli, "check_criterion", broken)
+    cfg = write_config(tmp_path, "check.json", _check_action_config(str(tmp_path / "out")))
+    assert main(["check-action", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: action evaluator failed at x=0.5, y=-0.5\n"
+
+
+def test_linalg_error_after_validation_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    def broken(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", broken)
+    payload = {
+        "grid": {"n_points": 32, "x_min": -4.0, "spacing": 0.25},
+        "constants": {"mass": 1.0, "hbar": 1.0, "tau": "magic"},
+        "action": {"kind": "standard", "potential": {"name": "zero"}},
+        "run": {},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    cfg = write_config(tmp_path, "build.json", payload)
+    assert main(["build", "--config", cfg]) == 3
+    assert capsys.readouterr().err == "numerical failure: Eigenvalues did not converge\n"

@@ -1,6 +1,7 @@
 """Tests for Ehrenfest tracking, the hbar sweep, and gauge equivalence."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,16 +9,25 @@ import pytest
 import dtqm.correspondence
 from dtqm import (
     BoundaryError,
+    NumericalError,
     PhysicalConstants,
     StandardAction,
+    build_kernel,
     ehrenfest_run,
+    evolve,
+    expect_p,
+    expect_x,
     gauge_equivalence_run,
     harmonic_potential,
     hbar_sweep,
     integrate,
     invert_momentum,
     magic_time_step,
+    make_gaussian,
     make_grid,
+    norm,
+    packet_observables,
+    position_spread,
     quadratic_phase,
     quartic_potential,
     zero_potential,
@@ -179,3 +189,73 @@ def test_gauge_equivalence_quadratic_phase():
         g, c, harmonic_potential(1.0, 1.0), quadratic_phase(0.3), 1.0, 0.0, 1.0, 100
     )
     assert discrepancy < 1e-10
+
+
+def test_packet_observables_match_grid_observables():
+    g = make_grid(256, -8.0, 0.0625)
+    model = magic_standard(g, harmonic_potential(1.0, 1.0))
+    kernel = build_kernel(g, model)
+    states = [make_gaussian(g, 0.5, 0.3, 1.0, HBAR)]
+    for _ in range(60):
+        states.append(evolve(kernel, states[-1]))
+    block = np.array([s.amplitudes for s in states])
+    x_mean, p_mean, x_spread, norms = packet_observables(block, g, HBAR)
+    for n in (0, 1, 17, 42, 60):
+        assert abs(x_mean[n] - expect_x(states[n])[0]) < 1e-13
+        assert abs(p_mean[n] - expect_p(states[n], HBAR)[0]) < 1e-13
+        assert abs(x_spread[n] - position_spread(states[n])[0]) < 1e-13
+        assert abs(norms[n] - norm(states[n])) < 1e-13
+    # ehrenfest_run reduces the same amplitudes, bit for bit.
+    series = ehrenfest_run(model, g, 0.5, 0.3, 1.0, 60)
+    for got, want in zip((series.x_mean, series.p_mean, series.x_spread, series.norm), (x_mean, p_mean, x_spread, norms)):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 200])
+def test_packet_run_series_does_not_depend_on_the_block_size(monkeypatch, rows):
+    g = make_grid(128, -8.0, 0.125)
+    model = magic_standard(g, harmonic_potential(1.0, 1.0))
+    reference = ehrenfest_run(model, g, 0.5, 0.3, 1.0, 150)  # longer than one default block
+    assert len(reference.steps) > dtqm.correspondence.BLOCK_ROWS
+    monkeypatch.setattr(dtqm.correspondence, "BLOCK_ROWS", rows)
+    series = ehrenfest_run(model, g, 0.5, 0.3, 1.0, 150)
+    short = ehrenfest_run(model, g, 0.5, 0.3, 1.0, 40)
+    for name in ("x_mean", "p_mean", "x_spread", "norm"):
+        np.testing.assert_array_equal(getattr(series, name), getattr(reference, name))
+        np.testing.assert_array_equal(getattr(short, name), getattr(reference, name)[:41])
+
+
+def test_non_finite_amplitudes_are_a_numerical_error(monkeypatch):
+    build = dtqm.correspondence.build_kernel
+
+    class Poisoned:
+        """Applies the real kernel, then returns infinite amplitudes from the fifth step on."""
+
+        def __init__(self, kernel):
+            self.kernel = kernel
+            self.calls = 0
+
+        def apply(self, amplitudes):
+            self.calls += 1
+            out = self.kernel.apply(amplitudes)
+            return np.full_like(out, np.inf) if self.calls >= 5 else out
+
+    monkeypatch.setattr(dtqm.correspondence, "build_kernel", lambda *args: Poisoned(build(*args)))
+    g = make_grid(128, -8.0, 0.125)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or invalid-value warning on the way
+        with pytest.raises(NumericalError, match="not finite at step 5"):
+            ehrenfest_run(magic_standard(g, harmonic_potential(1.0, 1.0)), g, 0.5, 0.3, 1.0, 20)
+
+
+def test_hbar_sweep_reports_packet_warnings():
+    # sigma / dx = alpha sqrt(m N / (4 pi tau)) is the same for every hbar of
+    # a sweep, so alpha = 0.1 under-resolves every run.
+    report = hbar_sweep(quartic_factory(0.1), [1.0, 0.5, 0.25], 1.0, 0.0, 30, 256, alpha=0.1)
+    assert report.errors == {}
+    assert sorted(report.packet_warnings) == [0.25, 0.5, 1.0]
+    for flags in report.packet_warnings.values():
+        assert len(flags) == 1 and "below resolvable limit" in flags[0]
+    assert report.as_dict()["packet_warnings"]["0.25"] == list(report.packet_warnings[0.25])
+    clean = hbar_sweep(quartic_factory(0.1), [1.0, 0.5, 0.25], 1.0, 0.0, 30, 256)
+    assert clean.packet_warnings == {} and clean.as_dict()["packet_warnings"] == {}
