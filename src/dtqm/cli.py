@@ -8,6 +8,7 @@ the wall-time field of the run report.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -197,6 +198,8 @@ _HANDLERS = {
 }
 
 
+# Built once per process: every command parses with the same parser.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dtqm",

@@ -5,8 +5,9 @@ weight, so every entry has the same magnitude w |A| and all structure lives
 in the phase. For the 1D standard/gauged family the phase splits into
 diagonal potential/gauge terms and a kinetic term that depends on j - k
 only, so U = diag(left) K diag(right) with K a Toeplitz chirp; those kernels
-are applied by FFT. Every other kernel is applied as a dense matrix. The
-dense matrix and the unitarity defect are built on first read. Unitarity is
+are applied by FFT, on any number of points. Every other kernel is applied
+as a dense matrix. The dense matrix and the unitarity defect are built on
+first read, up to MAX_POINTS_1D points in 1D. Unitarity is
 quantified by the max-row-sum norm of U U^dagger - I, which bounds the
 worst-case action on normalized states.
 """
@@ -33,10 +34,14 @@ __all__ = [
     "momentum_identity_residual",
 ]
 
+# Dense N x N limits: the kernel matrix, calibration and every 2D kernel.
 MAX_POINTS_1D = 1024
 MAX_POINTS_PER_AXIS_2D = 48
 PATHSUM_MAX_POINTS = 64
 CALIBRATION_SCAN = 41
+# Relative distance of N a / pi from an integer q below which the kinetic
+# factor is taken as the exact (skew-)circulant of tau = tau* / q.
+MAGIC_TOLERANCE = 1e-12
 
 
 class CalibrationError(RuntimeError):
@@ -54,9 +59,10 @@ class PropagatorKernel:
     """One-step evolution kernel with its amplitude; matrix and defect built on first read.
 
     ``factors`` is (left, spectrum, right) for kernels of the form
-    diag(left) K diag(right), with ``spectrum`` the FFT of the size-2N
-    circulant embedding of the Toeplitz matrix K; ``apply`` then costs
-    O(N log N). Without factors ``apply`` is the dense matvec.
+    diag(left) K diag(right), with ``spectrum`` the FFT of a circulant that
+    applies the Toeplitz matrix K: size N at tau* / q, size 2N otherwise (see
+    _kernel_factors). ``apply`` then costs O(N log N). Without factors
+    ``apply`` is the dense matvec.
     """
 
     __slots__ = ("grid", "model", "amplitude", "_factors", "_matrix", "_deviation")
@@ -74,6 +80,7 @@ class PropagatorKernel:
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
+            _require_dense_size(self.grid)
             # A named array, as in build_kernel: numpy would otherwise reuse the
             # temporary in place, and that loop rounds differently in the last bit.
             phases = _finite(_phase_matrix(self.grid, self.model))
@@ -88,13 +95,20 @@ class PropagatorKernel:
             self._deviation = unitarity_defect(self.matrix)
         return self._deviation
 
-    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        """U v, by FFT when the kernel has factors and as a dense matvec otherwise."""
+    def apply(self, amplitudes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """U v, by FFT when the kernel has factors and as a dense matvec otherwise.
+
+        With ``out`` the result is written there and returned; ``out`` may be
+        ``amplitudes`` itself, and the values are the same bit for bit.
+        """
         if self._factors is None:
-            return self.matrix @ amplitudes
+            return np.matmul(self.matrix, amplitudes, out=out)
         left, spectrum, right = self._factors
-        n = len(amplitudes)
-        return left * np.fft.ifft(spectrum * np.fft.fft(right * amplitudes, 2 * n))[:n]
+        work = np.fft.fft(right * amplitudes, len(spectrum))
+        # spectrum first: numpy's complex product is not symmetric in the last bit.
+        np.multiply(spectrum, work, out=work)
+        np.fft.ifft(work, out=work)
+        return np.multiply(left, work[: len(amplitudes)], out=out)
 
 
 def magic_time_step(grid: SpatialGrid, mass: float, hbar: float) -> float:
@@ -137,6 +151,11 @@ def _phase_matrix(grid: SpatialGrid, model: ActionModel) -> np.ndarray:
         return np.exp(1j * np.asarray(action, dtype=float) / model.constants.hbar)
 
 
+def _require_dense_size(grid: SpatialGrid) -> None:
+    if grid.dimension == 1 and grid.n_total > MAX_POINTS_1D:
+        raise ValueError(f"dense 1D kernels are limited to {MAX_POINTS_1D} points, got {grid.n_total}")
+
+
 def _finite(phases: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(phases)):
         raise NumericalError("kernel phase is not finite on the grid")
@@ -144,24 +163,45 @@ def _finite(phases: np.ndarray) -> np.ndarray:
 
 
 def _kernel_factors(grid: SpatialGrid, model: StandardAction, amplitude: complex):
-    """(left, spectrum, right) with U = diag(left) K diag(right), K_jk = kin[|j - k|].
+    """(left, spectrum, right) with U = diag(left) K diag(right), K_jk = kin(j - k).
 
     S(x_j, x_k) = kin(x_j - x_k) + half_j + half_k + phi_j - phi_k, where
     half = S(x, x) / 2 = -tau V(x) / 2 and the gauge term is exactly zero at
-    coincident points. K is embedded in a 2N circulant so one FFT pair
-    applies it for any N and any time step.
+    coincident points. The kinetic phase is a d^2 with a = m dx^2 / (2 tau hbar).
+
+    When q = N a / pi is an integer (tau = tau* / q), kin(d + N) = (-1)^(qN)
+    kin(d): K is circulant for even qN and skew-circulant for odd qN. Then
+    K = diag(t^-1) C diag(t) with t_j = exp(i pi s j / N), s = qN mod 2, and C
+    the circulant on c_d = exp(i pi (q d^2 + s d) / N); the twist t folds into
+    left and right, and one size-N FFT pair applies K. The phase is taken
+    mod 2N in integers, so it carries no O(N eps) rounding at large d.
+    Otherwise K is embedded in a 2N circulant, for any N and time step.
     """
     c = model.constants
+    n = grid.n_total
     x = grid.axis_points(0)
-    d = np.arange(grid.n_total) * grid.spacing[0]
+    a = c.mass * grid.spacing[0] ** 2 / (2.0 * c.time_step * c.hbar)
+    q = n * a / math.pi
     # As in _phase_matrix, overflow is left to the finiteness checks below.
     with np.errstate(over="ignore", invalid="ignore"):
         half = 0.5 * np.asarray(model.s(x, x), dtype=float)
         gauge = np.asarray(model.phase.phi(x), dtype=float) if isinstance(model, GaugedAction) else 0.0
-        kin = _finite(np.exp(1j * c.mass * d * d / (2.0 * c.time_step * c.hbar)))
         left = grid.weight * amplitude * _finite(np.exp(1j * (half + gauge) / c.hbar))
         right = _finite(np.exp(1j * (half - gauge) / c.hbar))
-    spectrum = np.fft.fft(np.concatenate([kin, [0.0], kin[:0:-1]]))
+        whole = round(q) if math.isfinite(q) else 0
+        if whole >= 1 and abs(q - whole) <= MAGIC_TOLERANCE * q:
+            s = (whole * n) % 2
+            d = np.arange(n)
+            phase = ((whole % (2 * n)) * (d * d % (2 * n)) + s * d) % (2 * n)
+            spectrum = np.fft.fft(np.exp(1j * (math.pi / n) * phase))
+            if s:
+                twist = np.exp(1j * (math.pi / n) * d)
+                left = left * twist.conj()
+                right = right * twist
+        else:
+            d = np.arange(n) * grid.spacing[0]
+            kin = _finite(np.exp(1j * c.mass * d * d / (2.0 * c.time_step * c.hbar)))
+            spectrum = np.fft.fft(np.concatenate([kin, [0.0], kin[:0:-1]]))
     return left, spectrum, right
 
 
@@ -207,13 +247,13 @@ def build_kernel(grid: SpatialGrid, model: ActionModel, amplitude_mode: str = "a
     magnitude), and builds the dense matrix up front.
 
     1D standard/gauged kernels store FFT factors and are applied by FFT in
-    either mode; every other kernel is applied as its dense matrix. A
-    non-finite kernel phase raises NumericalError.
+    either mode; every other kernel is applied as its dense matrix. Analytic
+    1D kernels have no size limit; calibration and the dense matrix are
+    limited to MAX_POINTS_1D points. A non-finite kernel phase raises
+    NumericalError.
     """
     if grid.dimension != model.dimension:
         raise ValueError(f"grid dimension {grid.dimension} != action dimension {model.dimension}")
-    if grid.dimension == 1 and grid.n_total > MAX_POINTS_1D:
-        raise ValueError(f"1D kernels are limited to {MAX_POINTS_1D} points, got {grid.n_total}")
     if grid.dimension == 2 and max(grid.shape) > MAX_POINTS_PER_AXIS_2D:
         raise ValueError(
             f"2D kernels are limited to {MAX_POINTS_PER_AXIS_2D} points per axis, got {grid.shape}"
@@ -227,6 +267,7 @@ def build_kernel(grid: SpatialGrid, model: ActionModel, amplitude_mode: str = "a
             )
         amplitude = reference
     elif amplitude_mode == "calibrated":
+        _require_dense_size(grid)
         phases = _phase_matrix(grid, model)
         magnitude, _ = _calibrate_magnitude(phases, grid.weight, abs(reference))
         amplitude = (reference / abs(reference)) * magnitude

@@ -519,3 +519,36 @@ def test_linalg_error_after_validation_is_numerical_failure(tmp_path, capsys, mo
     cfg = write_config(tmp_path, "build.json", payload)
     assert main(["build", "--config", cfg]) == 3
     assert capsys.readouterr().err == "numerical failure: Eigenvalues did not converge\n"
+
+
+def test_parser_is_built_once_and_serves_every_command(tmp_path, capsys):
+    from dtqm.cli import build_parser
+
+    assert build_parser() is build_parser()
+    out = str(tmp_path / "evolve")
+    assert main(["evolve", "--config", write_config(tmp_path, "evolve.json", harmonic_evolve_config(out))]) == 0
+    check = write_config(tmp_path, "check.json", _check_action_config(str(tmp_path / "check")))
+    assert main(["check-action", "--config", check, "--format", "json"]) == 0
+    assert read_report(out)["command"] == "evolve"
+    assert read_report(str(tmp_path / "check"))["command"] == "check-action"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        main(["evolve", "--config", check, "--format", "xml"])
+    assert info.value.code == 2
+    assert "invalid choice: 'xml'" in capsys.readouterr().err
+
+
+def test_evolve_runs_past_the_dense_limit_and_build_does_not(tmp_path, capsys):
+    payload = harmonic_evolve_config(str(tmp_path / "evolve"))
+    payload["grid"] = {"n_points": 2048, "x_min": -8.0, "spacing": 16.0 / 2048}
+    assert main(["evolve", "--config", write_config(tmp_path, "evolve.json", payload)]) == 0
+    assert read_report(str(tmp_path / "evolve"))["results"]["max_norm_drift"] < 1e-12
+    payload = {
+        "grid": payload["grid"],
+        "constants": {"mass": 1.0, "hbar": 1.0, "tau": "magic"},
+        "action": {"kind": "standard", "potential": {"name": "zero"}},
+        "run": {},
+        "output": {"directory": str(tmp_path / "build")},
+    }
+    assert main(["build", "--config", write_config(tmp_path, "build.json", payload)]) == 2
+    assert capsys.readouterr().err == "config error: dense 1D kernels are limited to 1024 points, got 2048\n"

@@ -235,10 +235,12 @@ def test_non_finite_amplitudes_are_a_numerical_error(monkeypatch):
             self.kernel = kernel
             self.calls = 0
 
-        def apply(self, amplitudes):
+        def apply(self, amplitudes, out=None):
             self.calls += 1
-            out = self.kernel.apply(amplitudes)
-            return np.full_like(out, np.inf) if self.calls >= 5 else out
+            out = self.kernel.apply(amplitudes, out=out)
+            if self.calls >= 5:
+                out[...] = np.inf
+            return out
 
     monkeypatch.setattr(dtqm.correspondence, "build_kernel", lambda *args: Poisoned(build(*args)))
     g = make_grid(128, -8.0, 0.125)
@@ -259,3 +261,15 @@ def test_hbar_sweep_reports_packet_warnings():
     assert report.as_dict()["packet_warnings"]["0.25"] == list(report.packet_warnings[0.25])
     clean = hbar_sweep(quartic_factory(0.1), [1.0, 0.5, 0.25], 1.0, 0.0, 30, 256)
     assert clean.packet_warnings == {} and clean.as_dict()["packet_warnings"] == {}
+
+
+def test_harmonic_tracking_past_the_dense_limit():
+    # N=4096: four times the dense limit, on the size-N circulant path, with
+    # blocks cut to the byte budget (16 rows here).
+    g = make_grid(4096, -8.0, 16.0 / 4096)
+    model = magic_standard(g, harmonic_potential(1.0, 1.0))
+    assert dtqm.correspondence.BLOCK_BYTES // (16 * 4096) < dtqm.correspondence.BLOCK_ROWS
+    series = ehrenfest_run(model, g, 0.5, 0.3, 1.0, 250)
+    assert series.max_position_deviation() < 1e-3
+    assert series.max_momentum_deviation() < 1e-3
+    assert float(np.max(np.abs(series.norm - 1.0))) < 1e-12

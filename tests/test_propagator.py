@@ -359,3 +359,71 @@ def test_unitarity_deviation_is_computed_once(monkeypatch):
     # Built on first read bit for bit as a calibrated build assembles it.
     phases = dtqm.propagator._phase_matrix(g, kernel.model)
     assert np.array_equal(kernel.matrix, g.weight * kernel.amplitude * phases)
+
+
+@pytest.mark.parametrize("n", [16, 255, 256, 257, 1024])
+@pytest.mark.parametrize("tau_factor", [1.0, 1.0 / 3.0, 0.93])
+def test_circulant_apply_matches_dense_matrix(n, tau_factor):
+    # Oracle: at tau* / q the kinetic factor is a size-N (skew-)circulant with
+    # exact integer phases; the dense matrix is built from model.s all the same.
+    g = make_grid(n, -8.0, 16.0 / n)
+    c = PhysicalConstants(1.0, tau_factor * magic_time_step(g, 1.0, HBAR), HBAR)
+    pot = harmonic_potential(1.0, 1.0)
+    rng = np.random.default_rng(n)
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    for model in (StandardAction(c, pot), GaugedAction(c, pot, quadratic_phase(0.3))):
+        kernel = build_kernel(g, model)
+        assert len(kernel._factors[1]) == (2 * n if tau_factor == 0.93 else n)
+        assert float(np.max(np.abs(kernel.apply(v) - kernel.matrix @ v))) <= 1e-12 * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("n", [16, 255, 256, 257, 1024])
+def test_magic_step_detection(n):
+    g = make_grid(n, -8.0, 16.0 / n)
+    tau = magic_time_step(g, 1.0, HBAR)
+    for factor, size in [(1.0, n), (1.0 / 3.0, n), (0.2, n), (0.93, 2 * n), (1.0 + 1e-9, 2 * n), (2.0, 2 * n)]:
+        kernel = build_kernel(g, StandardAction(PhysicalConstants(1.0, factor * tau, HBAR), zero_potential()))
+        assert len(kernel._factors[1]) == size, factor
+    if n % 2 == 0:
+        # Gauss sum: every eigenvalue of the circulant chirp has modulus sqrt(N).
+        spectrum = build_kernel(g, magic_model(g))._factors[1]
+        assert float(np.max(np.abs(np.abs(spectrum) - math.sqrt(n)))) <= 1e-12 * math.sqrt(n)
+
+
+def test_apply_into_out_is_bit_identical():
+    from dtqm import SineAction
+
+    g = make_grid(255, -8.0, 16.0 / 255)
+    tau = magic_time_step(g, 1.0, HBAR)
+    pot = harmonic_potential(1.0, 1.0)
+    kernels = [
+        build_kernel(g, StandardAction(PhysicalConstants(1.0, f * tau, HBAR), pot)) for f in (1.0, 0.93)
+    ]
+    kernels.append(build_kernel(g, SineAction(PhysicalConstants(1.0, tau, HBAR), 1.0), "calibrated"))
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=255) + 1j * rng.normal(size=255)
+    for kernel in kernels:
+        expected = kernel.apply(v)
+        buf = np.empty_like(v)
+        assert kernel.apply(v, out=buf) is buf
+        np.testing.assert_array_equal(buf, expected)
+        alias = v.copy()
+        assert kernel.apply(alias, out=alias) is alias
+        np.testing.assert_array_equal(alias, expected)
+
+
+def test_dense_size_limit_applies_to_the_matrix_only():
+    from dtqm.propagator import MAX_POINTS_1D
+
+    n = 2 * MAX_POINTS_1D
+    g = make_grid(n, -8.0, 16.0 / n)
+    model = magic_model(g, harmonic_potential(1.0, 1.0))
+    kernel = build_kernel(g, model)
+    psi = make_gaussian(g, 0.5, 0.3, 1.0, HBAR)
+    for _ in range(10):
+        psi = evolve(kernel, psi)
+    assert abs(norm(psi) - 1.0) < 1e-12
+    with pytest.raises(ValueError, match=f"dense 1D kernels are limited to {MAX_POINTS_1D} points, got {n}"):
+        kernel.matrix
+    with pytest.raises(ValueError, match="dense 1D kernels are limited"):
+        build_kernel(g, model, "calibrated")
