@@ -74,7 +74,6 @@ from .potentials import (
     zero_potential,
 )
 from .propagator import (
-    CalibrationError,
     PropagatorKernel,
     analytic_amplitude,
     build_kernel,

@@ -101,11 +101,30 @@ def _default_radius(model: ActionModel, x_now: float, x_prev: float) -> float:
     return 10.0 * abs(x_now - x_prev) + 10.0 * math.sqrt(c.hbar * c.time_step / c.mass)
 
 
+def _linear_step(model, x_prev: float, x_now: float) -> float:
+    """Next position of the standard family, the one real root of its equation of motion.
+
+    The constant d2S/dxdy = -m / tau makes the equation linear in x_next, so
+    one Newton step from x_now solves it exactly. A non-finite root is a
+    numerical failure, never a verdict.
+    """
+    c = model.constants
+    g = float(model.ds_dx(x_now, x_prev)) + float(model.ds_dy(x_now, x_now))
+    x_next = x_now + (c.time_step / c.mass) * g
+    if not math.isfinite(x_next):
+        raise NumericalError(f"the closed-form step from x_prev={x_prev}, x_now={x_now} is not finite")
+    return x_next
+
+
 def _eom_step_1d(model, x_prev, x_now):
     incoming = float(model.ds_dx(x_now, x_prev))
 
     def g(xi):
         return incoming + model.ds_dy(xi, x_now)
+
+    if is_standard_family(model):
+        xi = _linear_step(model, x_prev, x_now)
+        return EomResult(xi, TrajectoryStatus.COMPLETE, abs(float(g(xi))))
 
     def dg(xi):
         return model.d2s_dxdy(xi, x_now)
@@ -154,12 +173,13 @@ def _eom_step_2d(model, x_prev, x_now):
 def eom_step(model: ActionModel, x_prev, x_now) -> EomResult:
     """Solve the discrete equation of motion for the next position.
 
-    In 1D the root is located by a bracketing scan of 64 equal subintervals
-    over [x_now - R, x_now + R], each sign change refined by safeguarded
-    Newton. R is 10 |x_now - x_prev| + 10 sqrt(hbar tau / m), a heuristic
-    wide enough for every admissible action (whose equation is linear)
-    while keeping the no-solution verdict for bounded-gradient probes
-    honest: "no root inside the documented search region".
+    For the exact standard/gauged family the equation is linear in x_next,
+    and its one root is taken in closed form wherever it lies. Every other
+    1D action is solved by a bracketing scan of 64 equal subintervals over
+    [x_now - R, x_now + R], each sign change refined by safeguarded Newton.
+    R is 10 |x_now - x_prev| + 10 sqrt(hbar tau / m), which keeps the
+    no-solution verdict for bounded-gradient probes honest: "no root inside
+    the documented search region".
 
     When several roots fall inside the region, the one closest to the
     free-motion prediction 2 x_now - x_prev is returned with the non-unique
@@ -173,37 +193,14 @@ def eom_step(model: ActionModel, x_prev, x_now) -> EomResult:
     return _eom_step_2d(model, x_prev, x_now)
 
 
-def _closed_form_steps(model: ActionModel, track: list, n_steps: int) -> int:
-    """Extend ``track`` by explicit steps of the standard family; return how many were taken.
-
-    The constant d2S/dxdy = -m / tau makes the equation of motion linear in
-    x_next, so one Newton step from x_now solves it exactly:
-    x_next = x_now + (tau / m) g(x_now). A step counts only when that root
-    lies strictly inside eom_step's search region (a NaN root does not);
-    otherwise the caller's scan decides that step and every later one.
-    """
-    ratio = model.constants.time_step / model.constants.mass
-    x_prev, x_now = track[-2], track[-1]
-    for n in range(n_steps):
-        g = float(model.ds_dx(x_now, x_prev)) + float(model.ds_dy(x_now, x_now))
-        x_next = x_now + ratio * g
-        radius = _default_radius(model, x_now, x_prev)
-        if not x_now - radius < x_next < x_now + radius:
-            return n
-        track.append(x_next)
-        x_prev, x_now = x_now, x_next
-    return n_steps
-
-
 def integrate(model: ActionModel, x0, x_minus1, n_steps: int) -> ClassicalTrajectory:
     """Iterate the equation of motion from the seed pair (x_{-1}, x_0) for n_steps steps.
 
     Stops early with status no_solution when a step has no root; a
     non-unique step is resolved (closest to free motion), flagged, and
     integration continues. Steps of the exact standard/gauged family are
-    taken in closed form while their root lies inside eom_step's search
-    region; from the first one that does not, eom_step decides every step.
-    Momenta and residuals are evaluated over the finished track.
+    taken in closed form, so they always complete. Momenta and residuals are
+    evaluated over the finished track.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be at least 1, got {n_steps}")
@@ -214,17 +211,20 @@ def integrate(model: ActionModel, x0, x_minus1, n_steps: int) -> ClassicalTrajec
         track = [np.asarray(x_minus1, dtype=float), np.asarray(x0, dtype=float)]
     status = TrajectoryStatus.COMPLETE
     failure_step = None
-    done = _closed_form_steps(model, track, n_steps) if is_standard_family(model) else 0
-    for n in range(done + 1, n_steps + 1):
-        result = eom_step(model, track[-2], track[-1])
-        if result.status is TrajectoryStatus.NO_SOLUTION:
-            status = TrajectoryStatus.NO_SOLUTION
-            failure_step = n
-            break
-        if result.status is TrajectoryStatus.NON_UNIQUE and status is TrajectoryStatus.COMPLETE:
-            status = TrajectoryStatus.NON_UNIQUE
-            failure_step = n
-        track.append(result.x_next)
+    if is_standard_family(model):
+        for _ in range(n_steps):
+            track.append(_linear_step(model, track[-2], track[-1]))
+    else:
+        for n in range(1, n_steps + 1):
+            result = eom_step(model, track[-2], track[-1])
+            if result.status is TrajectoryStatus.NO_SOLUTION:
+                status = TrajectoryStatus.NO_SOLUTION
+                failure_step = n
+                break
+            if result.status is TrajectoryStatus.NON_UNIQUE and status is TrajectoryStatus.COMPLETE:
+                status = TrajectoryStatus.NON_UNIQUE
+                failure_step = n
+            track.append(result.x_next)
     # Row 0 is the seed x_{-1}; the residual of step n is |g| at the root it kept.
     xs = np.array(track)
     momenta = np.asarray(model.ds_dx(xs[1:], xs[:-1]), dtype=float)
@@ -268,13 +268,14 @@ def _invert_momentum_1d(model, x0: float, p0: float) -> float:
         return model.d2s_dxdy(x0, xi)
 
     guess = x0 - c.time_step * p0 / c.mass
-    radius = 10.0 * (abs(c.time_step * p0 / c.mass) + math.sqrt(c.hbar * c.time_step / c.mass))
-    lo, hi = guess - radius, guess + radius
     if is_standard_family(model):
         # g is linear in xi with slope d2S/dxdy = -m / tau: one Newton step is exact.
         root = guess + (c.time_step / c.mass) * float(g(guess))
-        if lo < root < hi:
-            return root
+        if not math.isfinite(root):
+            raise NumericalError(f"cannot invert the momentum map at x0={x0}, p0={p0}: the root is not finite")
+        return root
+    radius = 10.0 * (abs(c.time_step * p0 / c.mass) + math.sqrt(c.hbar * c.time_step / c.mass))
+    lo, hi = guess - radius, guess + radius
     gtol = _gradient_tolerance(model, x0, p0 * c.time_step / c.mass)
     xtol = 1e-13 * max(1.0, abs(guess) + radius)
     roots, _, _ = scan_roots(g, dg, lo, hi, SCAN_SUBINTERVALS, gtol, xtol, 0.0)

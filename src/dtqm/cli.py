@@ -1,8 +1,8 @@
 """Command-line driver: validate a config, run one experiment, write reports.
 
 Exit codes are a stable contract: 0 success/pass, 1 tolerance failure,
-2 configuration error, 3 numerical failure (solver, calibration, boundary
-safety, criterion sampling or linear algebra).
+2 configuration error, 3 numerical failure (solver, non-finite kernel
+phases, boundary safety, criterion sampling or linear algebra).
 Identical configs reproduce byte-identical CSV and JSON outputs except for
 the wall-time field of the run report.
 """
@@ -21,7 +21,7 @@ from .classical import NumericalError, integrate, invert_momentum
 from .config import ConfigError, build_action, build_constants, build_grid, load_config
 from .correspondence import BoundaryError, ehrenfest_run, hbar_sweep
 from .criterion import CriterionError, check_criterion
-from .propagator import CalibrationError, build_kernel, magic_time_step
+from .propagator import build_kernel, magic_time_step
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -182,6 +182,8 @@ def _cmd_build(cfg: dict, outdir: str, formats: set[str]) -> tuple[int, dict, li
         "eig_magnitude_min": float(eig_magnitudes.min()),
         "eig_magnitude_max": float(eig_magnitudes.max()),
     }
+    if kernel.calibration is not None:
+        results["calibration"] = kernel.calibration
     failures = []
     limit = run["max_unitarity_deviation"]
     if limit is not None and kernel.unitarity_deviation > limit:
@@ -241,7 +243,7 @@ def main(argv=None) -> int:
         _write_report(outdir, report)
     # LinAlgError is a ValueError, so it has to be caught first; nothing in
     # load_config does linear algebra, so it always comes from the numerics.
-    except (CalibrationError, NumericalError, BoundaryError, CriterionError, np.linalg.LinAlgError) as exc:
+    except (NumericalError, BoundaryError, CriterionError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, ValueError) as exc:

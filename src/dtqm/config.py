@@ -30,7 +30,7 @@ from .potentials import (
     zero_phase,
     zero_potential,
 )
-from .propagator import magic_time_step
+from .propagator import MAX_POINTS_1D, magic_time_step
 
 __all__ = ["ConfigError", "load_config", "build_grid", "build_constants", "build_action"]
 
@@ -355,6 +355,10 @@ def load_config(path: str, command: str) -> dict:
         and cfg["action"]["kind"] not in ("standard", "gauged")
     ):
         raise ConfigError("analytic amplitude mode needs a standard or gauged action; use 'calibrated'")
+    # build reads the dense matrix for eigvals; calibration always builds it.
+    dense = command == "build" or (command == "evolve" and cfg["run"]["amplitude_mode"] == "calibrated")
+    if dense and cfg["grid"]["n_points"] > MAX_POINTS_1D:
+        raise ConfigError(f"dense 1D kernels are limited to {MAX_POINTS_1D} points, got {cfg['grid']['n_points']}")
     return cfg
 
 

@@ -16,7 +16,6 @@ import cmath
 import math
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .action import ActionModel, GaugedAction, StandardAction, is_standard_family
 from .classical import NumericalError
@@ -24,7 +23,6 @@ from .grid import SpatialGrid, WaveState, momentum_matrix
 
 __all__ = [
     "PropagatorKernel",
-    "CalibrationError",
     "magic_time_step",
     "analytic_amplitude",
     "unitarity_defect",
@@ -38,21 +36,9 @@ __all__ = [
 MAX_POINTS_1D = 1024
 MAX_POINTS_PER_AXIS_2D = 48
 PATHSUM_MAX_POINTS = 64
-CALIBRATION_SCAN = 41
 # Relative distance of N a / pi from an integer q below which the kinetic
 # factor is taken as the exact (skew-)circulant of tau = tau* / q.
 MAGIC_TOLERANCE = 1e-12
-
-
-class CalibrationError(RuntimeError):
-    """Amplitude calibration could not locate a usable minimum.
-
-    ``scan`` holds the (magnitude, deviation) pairs that were evaluated.
-    """
-
-    def __init__(self, message: str, scan):
-        super().__init__(message)
-        self.scan = list(scan)
 
 
 class PropagatorKernel:
@@ -62,15 +48,18 @@ class PropagatorKernel:
     diag(left) K diag(right), with ``spectrum`` the FFT of a circulant that
     applies the Toeplitz matrix K: size N at tau* / q, size 2N otherwise (see
     _kernel_factors). ``apply`` then costs O(N log N). Without factors
-    ``apply`` is the dense matvec.
+    ``apply`` is the dense matvec. ``calibration`` is None for analytic
+    kernels and {"offdiag_row_sum": r, "at_bracket_edge": bool} for
+    calibrated ones (see _calibrate_magnitude).
     """
 
-    __slots__ = ("grid", "model", "amplitude", "_factors", "_matrix", "_deviation")
+    __slots__ = ("grid", "model", "amplitude", "calibration", "_factors", "_matrix", "_deviation")
 
-    def __init__(self, grid, model, amplitude, factors, matrix):
+    def __init__(self, grid, model, amplitude, factors, matrix, calibration):
         self.grid = grid
         self.model = model
         self.amplitude = amplitude
+        self.calibration = calibration
         self._factors = factors
         if matrix is not None:
             matrix.flags.writeable = False
@@ -206,33 +195,22 @@ def _kernel_factors(grid: SpatialGrid, model: StandardAction, amplitude: complex
 
 
 def _calibrate_magnitude(phases: np.ndarray, weight: float, center: float):
-    """Minimize the unitarity defect over |A| in [0.5, 1.5] x analytic value.
+    """|A| minimizing the unitarity defect over [0.5, 1.5] x the analytic value.
 
-    Returns (magnitude, scan). The scan is a coarse deterministic sweep; the
-    best point is refined between its neighbors. Heavily non-unitary kernels
-    have their best magnitude at the lower bracket edge, and that edge value
-    is returned; only a non-finite defect landscape raises CalibrationError.
+    Returns (magnitude, r, at_bracket_edge). Every phase is unimodular, so
+    (U U^dagger)_jj = w^2 |A|^2 N exactly and the defect is
+    |w^2 |A|^2 N - 1| + w^2 |A|^2 r, with r = max_j sum_{k != j} |(P P^dagger)_jk|.
+    That is piecewise linear in |A|^2: for r < N its minimum is at
+    |A| = 1 / (w sqrt(N)), clamped into the bracket; for r >= N the defect
+    does not fall as |A| grows, and the bracket's lower edge is taken.
     """
-    gram = phases @ phases.conj().T
-
-    def defect(magnitude: float) -> float:
-        scaled = (weight * magnitude) ** 2 * gram
-        scaled[np.diag_indices_from(scaled)] -= 1.0
-        return float(np.abs(scaled).sum(axis=1).max())
-
-    magnitudes = np.linspace(0.5 * center, 1.5 * center, CALIBRATION_SCAN)
-    scan = [(float(a), defect(float(a))) for a in magnitudes]
-    values = np.array([v for _, v in scan])
-    if not np.all(np.isfinite(values)):
-        raise CalibrationError("unitarity defect is not finite across the calibration bracket", scan)
-    best = int(np.argmin(values))
-    lo = magnitudes[max(best - 1, 0)]
-    hi = magnitudes[min(best + 1, CALIBRATION_SCAN - 1)]
-    result = minimize_scalar(defect, bounds=(float(lo), float(hi)), method="bounded")
-    magnitude = float(result.x)
-    if defect(magnitude) > values[best]:
-        magnitude = float(magnitudes[best])
-    return magnitude, scan
+    n = len(phases)
+    gram = np.abs(phases @ phases.conj().T)
+    np.fill_diagonal(gram, 0.0)
+    r = float(gram.sum(axis=1).max())
+    lo, hi = 0.5 * center, 1.5 * center
+    magnitude = min(max(1.0 / (weight * math.sqrt(n)), lo), hi) if r < n else lo
+    return magnitude, r, magnitude in (lo, hi)
 
 
 def build_kernel(grid: SpatialGrid, model: ActionModel, amplitude_mode: str = "analytic") -> PropagatorKernel:
@@ -240,9 +218,9 @@ def build_kernel(grid: SpatialGrid, model: ActionModel, amplitude_mode: str = "a
 
     ``analytic`` mode uses the continuum stationary-phase amplitude and is
     restricted to the standard/gauged family, where that value is exact at
-    the magic time step. ``calibrated`` mode fixes the phase and fits the
-    magnitude by minimizing the recorded deviation inside a +-50% bracket
-    around the analytic value; it accepts any action kind, including the
+    the magic time step. ``calibrated`` mode fixes the phase and takes the
+    magnitude that minimizes the deviation inside a +-50% bracket around
+    the analytic value, in closed form; it accepts any action kind, including the
     inadmissible probes (whose deviation stays large no matter the
     magnitude), and builds the dense matrix up front.
 
@@ -259,7 +237,7 @@ def build_kernel(grid: SpatialGrid, model: ActionModel, amplitude_mode: str = "a
             f"2D kernels are limited to {MAX_POINTS_PER_AXIS_2D} points per axis, got {grid.shape}"
         )
     reference = analytic_amplitude(model)
-    phases = None
+    phases = calibration = None
     if amplitude_mode == "analytic":
         if not isinstance(model, StandardAction):
             raise ValueError(
@@ -268,15 +246,16 @@ def build_kernel(grid: SpatialGrid, model: ActionModel, amplitude_mode: str = "a
         amplitude = reference
     elif amplitude_mode == "calibrated":
         _require_dense_size(grid)
-        phases = _phase_matrix(grid, model)
-        magnitude, _ = _calibrate_magnitude(phases, grid.weight, abs(reference))
+        phases = _finite(_phase_matrix(grid, model))
+        magnitude, r, at_edge = _calibrate_magnitude(phases, grid.weight, abs(reference))
         amplitude = (reference / abs(reference)) * magnitude
+        calibration = {"offdiag_row_sum": r, "at_bracket_edge": at_edge}
     else:
         raise ValueError(f"unknown amplitude mode '{amplitude_mode}'")
     amplitude = complex(amplitude)
     factors = _kernel_factors(grid, model, amplitude) if is_standard_family(model) else None
     matrix = None if phases is None else grid.weight * amplitude * phases
-    return PropagatorKernel(grid, model, amplitude, factors, matrix)
+    return PropagatorKernel(grid, model, amplitude, factors, matrix, calibration)
 
 
 def evolve(kernel: PropagatorKernel, psi: WaveState) -> WaveState:

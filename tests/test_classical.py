@@ -313,15 +313,29 @@ def test_closed_form_integrate_matches_scan_path(fast, scan):
 
 @pytest.mark.parametrize("omega, x_minus1, label", [(20.0, 1.0, "no_solution_at(1)"), (19.5, 0.9, "no_solution_at(15)")])
 def test_closed_form_hands_over_to_the_scan_outside_the_search_region(omega, x_minus1, label):
-    # omega * tau near 2: the linear root leaves [x_now - R, x_now + R], so
-    # the scan decides that step and reports no_solution on both paths.
+    # omega * tau near 2: the linear root leaves the scan's [x_now - R, x_now + R].
+    # The family's closed form is its one real root wherever it lies, so the
+    # run completes; the scan path still reports no_solution there.
     c = PhysicalConstants(1.0, 0.1, HBAR)
     pot = harmonic_potential(1.0, omega)
     a = integrate(StandardAction(c, pot), 1.0, x_minus1, 40)
-    b = integrate(ScanStandard(c, pot), 1.0, x_minus1, 40)
-    assert a.label() == b.label() == label
-    np.testing.assert_allclose(a.positions, b.positions, rtol=0, atol=1e-12 * float(np.max(np.abs(b.positions))))
-    np.testing.assert_array_equal(a.times, b.times)
+    assert a.status is TrajectoryStatus.COMPLETE and len(a.positions) == 41
+    expected = leapfrog_reference(pot.dv, 1.0, 0.1, 1.0, x_minus1, 40)
+    np.testing.assert_allclose(a.positions, expected, rtol=0, atol=1e-12 * float(np.max(np.abs(expected))))
+    step = eom_step(StandardAction(c, pot), x_minus1, 1.0)
+    assert step.status is TrajectoryStatus.COMPLETE and step.x_next == a.positions[1]
+    assert integrate(ScanStandard(c, pot), 1.0, x_minus1, 40).label() == label
+
+
+def test_non_finite_closed_form_root_is_a_numerical_error():
+    model = StandardAction(PhysicalConstants(1.0, 0.1, HBAR), harmonic_potential(1.0, 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="not finite"):
+            integrate(model, 1e308, -1e308, 5)
+        with pytest.raises(NumericalError, match="not finite"):
+            eom_step(model, -1e308, 1e308)
+        with pytest.raises(NumericalError, match="not finite"):
+            invert_momentum(model, 1.7e308, -1e308)
 
 
 def test_closed_form_path_runs_no_scan(monkeypatch):

@@ -317,6 +317,7 @@ def test_build_reports_kernel_diagnostics(tmp_path):
     )
     assert main(["build", "--config", cfg]) == 0
     report = read_report(out)
+    assert "calibration" not in report["results"]
     assert report["results"]["unitarity_deviation"] < 1e-8
     assert report["results"]["tau"] == pytest.approx(report["results"]["magic_tau"])
     # unitary kernel: every eigenvalue sits on the unit circle
@@ -338,7 +339,11 @@ def test_build_probe_kernel_fails_tolerance(tmp_path):
         },
     )
     assert main(["build", "--config", cfg]) == 1
-    assert read_report(out)["results"]["unitarity_deviation"] > 1e-3
+    results = read_report(out)["results"]
+    assert results["unitarity_deviation"] > 1e-3
+    # The probe's off-diagonal row sum exceeds N, so the bracket's lower edge is taken.
+    assert results["calibration"]["offdiag_row_sum"] > 128
+    assert results["calibration"]["at_bracket_edge"] is True
 
 
 def test_build_analytic_mode_rejects_probe_kind(tmp_path):
@@ -552,3 +557,21 @@ def test_evolve_runs_past_the_dense_limit_and_build_does_not(tmp_path, capsys):
     }
     assert main(["build", "--config", write_config(tmp_path, "build.json", payload)]) == 2
     assert capsys.readouterr().err == "config error: dense 1D kernels are limited to 1024 points, got 2048\n"
+    assert not (tmp_path / "build").exists()
+    payload = harmonic_evolve_config(str(tmp_path / "calibrated"))
+    payload["grid"] = {"n_points": 2048, "x_min": -8.0, "spacing": 16.0 / 2048}
+    payload["run"]["amplitude_mode"] = "calibrated"
+    assert main(["evolve", "--config", write_config(tmp_path, "calibrated.json", payload)]) == 2
+    assert capsys.readouterr().err == "config error: dense 1D kernels are limited to 1024 points, got 2048\n"
+    assert not (tmp_path / "calibrated").exists()
+
+
+def test_cli_import_does_not_load_scipy():
+    import subprocess
+    import sys
+
+    code = "import sys, dtqm.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout == "[]\n"

@@ -8,8 +8,8 @@ import pytest
 
 from dtqm import (
     ActionModel,
-    CalibrationError,
     GaugedAction,
+    NumericalError,
     PhysicalConstants,
     QuarticAction,
     SineAction,
@@ -129,6 +129,37 @@ def test_calibrated_mode_recovers_analytic_amplitude():
     assert kernel.unitarity_deviation < 1e-8
 
 
+def third_and_half_magic_models(grid):
+    tau = magic_time_step(grid, 1.0, HBAR)
+    return [StandardAction(PhysicalConstants(1.0, tau / q, HBAR), harmonic_potential(1.0, 1.0)) for q in (3, 2)]
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_calibration_at_a_third_of_the_magic_step_is_the_gauss_sum_amplitude(n):
+    # At tau*/q with gcd(q, N) = 1 the kernel is exactly unitary at |A| = 1 / (w sqrt(N)).
+    g = make_grid(n, -8.0, 16.0 / n)
+    third, half = third_and_half_magic_models(g)
+    kernel = build_kernel(g, third, "calibrated")
+    assert abs(kernel.amplitude) == pytest.approx(1.0 / (g.weight * math.sqrt(n)), rel=1e-12)
+    assert kernel.unitarity_deviation < 1e-10
+    assert kernel.calibration["at_bracket_edge"] is False
+    # At tau*/2 the off-diagonal row sum equals N: the defect is 1 for every
+    # magnitude up to 1 / (w sqrt(N)), so which one is taken is not asserted.
+    kernel = build_kernel(g, half, "calibrated")
+    assert kernel.calibration["offdiag_row_sum"] == pytest.approx(n, rel=1e-9)
+    assert kernel.unitarity_deviation == pytest.approx(1.0, abs=1e-9)
+
+
+def test_unitary_at_a_third_of_the_magic_step_but_not_tracking():
+    from dtqm import ehrenfest_run
+
+    g = make_grid(256, -8.0, 0.0625)
+    third, _ = third_and_half_magic_models(g)
+    series = ehrenfest_run(third, g, 0.5, 0.3, 1.0, 50, amplitude_mode="calibrated")
+    assert np.max(np.abs(series.norm - 1.0)) < 1e-12
+    assert series.max_position_deviation() > 1.0
+
+
 def test_calibrated_probe_deviation_far_exceeds_standard():
     g = grid128()
     tau = magic_time_step(g, 1.0, HBAR)
@@ -150,9 +181,8 @@ def test_calibration_error_on_nonfinite_landscape():
 
     g = make_grid(8, 0.0, 1.0)
     with np.errstate(invalid="ignore"):
-        with pytest.raises(CalibrationError) as info:
+        with pytest.raises(NumericalError, match="kernel phase is not finite"):
             build_kernel(g, Exploding(PhysicalConstants(1.0, 0.1, HBAR)), "calibrated")
-    assert len(info.value.scan) > 0
 
 
 def test_evolve_preserves_norm_over_100_steps():
