@@ -40,6 +40,8 @@ class ConfigError(Exception):
 
 
 _NUMBER = (int, float)
+# Schema type of a number that must be greater than zero.
+_POSITIVE = "positive number"
 
 
 def _require_mapping(value, where: str) -> dict:
@@ -82,6 +84,11 @@ def _typed(value, types, where: str):
         if isinstance(value, bool) or not isinstance(value, _NUMBER):
             raise ConfigError(f"'{where}' must be a number")
         return float(value)
+    if types is _POSITIVE:
+        value = _typed(value, float, where)
+        if value <= 0:
+            raise ConfigError(f"'{where}' must be positive, got {value}")
+        return value
     if types is str:
         if not isinstance(value, str):
             raise ConfigError(f"'{where}' must be a string")
@@ -98,10 +105,10 @@ def _typed(value, types, where: str):
 # Named built-ins: name -> (parameter schema, factory(params, mass)).
 _POTENTIALS = {
     "zero": ({}, lambda p, mass: zero_potential()),
-    "harmonic": ({"omega": (float, 1.0)}, lambda p, mass: harmonic_potential(mass, p["omega"])),
+    "harmonic": ({"omega": (_POSITIVE, 1.0)}, lambda p, mass: harmonic_potential(mass, p["omega"])),
     "quartic": ({"strength": (float, 1.0)}, lambda p, mass: quartic_potential(p["strength"])),
     "cosine_well": (
-        {"depth": (float, 1.0), "wavenumber": (float, 1.0)},
+        {"depth": (float, 1.0), "wavenumber": (_POSITIVE, 1.0)},
         lambda p, mass: cosine_well_potential(p["depth"], p["wavenumber"]),
     ),
 }
@@ -127,7 +134,7 @@ _ACTIONS = {
     "standard": ({"potential": dict}, lambda c, a: StandardAction(c, a["potential"])),
     "gauged": ({"potential": dict, "phase": dict}, lambda c, a: GaugedAction(c, a["potential"], a["phase"])),
     "quartic": ({"potential": dict, "epsilon": float}, lambda c, a: QuarticAction(c, a["potential"], a["epsilon"])),
-    "sine": ({"strength": float}, lambda c, a: SineAction(c, a["strength"])),
+    "sine": ({"strength": _POSITIVE}, lambda c, a: SineAction(c, a["strength"])),
     "vector_potential_2d": (
         {"potential": dict, "a1": dict, "a2": dict},
         lambda c, a: VectorPotentialAction2D(c, a["potential"], a["a1"], a["a2"]),
@@ -166,11 +173,7 @@ def _validate_action(block, where: str) -> dict:
 
 def _validate_constants(block) -> dict:
     block = _require_mapping(block, "constants")
-    out = _check(block, "constants", {"mass": float, "hbar": float}, {"tau": (None, None)})
-    if out["mass"] <= 0:
-        raise ConfigError(f"'constants.mass' must be positive, got {out['mass']}")
-    if out["hbar"] <= 0:
-        raise ConfigError(f"'constants.hbar' must be positive, got {out['hbar']}")
+    out = _check(block, "constants", {"mass": _POSITIVE, "hbar": _POSITIVE}, {"tau": (None, None)})
     tau = block.get("tau")
     if tau is None:
         raise ConfigError("missing required key 'tau' in block 'constants'")
@@ -198,7 +201,7 @@ _RUN_SCHEMAS = {
     "evolve": (
         {"x0": float, "p0": float, "n_steps": int},
         {
-            "alpha": (float, 1.0),
+            "alpha": (_POSITIVE, 1.0),
             "amplitude_mode": (str, "analytic"),
             "tracking_tolerance": (float, None),
             "norm_tolerance": (float, None),
@@ -214,7 +217,7 @@ _RUN_SCHEMAS = {
     ),
     "sweep": (
         {"x0": float, "p0": float, "n_steps": int, "hbar_list": list},
-        {"alpha": (float, 1.0)},
+        {"alpha": (_POSITIVE, 1.0)},
     ),
     "build": (
         {},
@@ -238,9 +241,7 @@ _GRID_USAGE = {
 
 def _validate_grid(block, usage: str):
     if usage == "full":
-        out = _check(_require_mapping(block, "grid"), "grid", {"n_points": int, "x_min": float, "spacing": float}, {})
-        if out["spacing"] <= 0:
-            raise ConfigError(f"'grid.spacing' must be positive, got {out['spacing']}")
+        out = _check(_require_mapping(block, "grid"), "grid", {"n_points": int, "x_min": float, "spacing": _POSITIVE}, {})
     elif usage == "n_points_only":
         out = _check(_require_mapping(block, "grid"), "grid", {"n_points": int}, {})
     else:
@@ -269,8 +270,6 @@ def _validate_run(block, command: str) -> dict:
             raise ConfigError(f"'run.n_steps' must be non-negative, got {out['n_steps']}")
         if out["amplitude_mode"] not in ("analytic", "calibrated"):
             raise ConfigError(f"'run.amplitude_mode' must be 'analytic' or 'calibrated', got {out['amplitude_mode']!r}")
-        if out["alpha"] <= 0:
-            raise ConfigError(f"'run.alpha' must be positive, got {out['alpha']}")
     if command == "classical":
         if out["n_steps"] < 1:
             raise ConfigError(f"'run.n_steps' must be at least 1, got {out['n_steps']}")
@@ -292,8 +291,6 @@ def _validate_run(block, command: str) -> dict:
         out["hbar_list"] = [float(v) for v in hl]
         if out["n_steps"] < 1:
             raise ConfigError(f"'run.n_steps' must be at least 1, got {out['n_steps']}")
-        if out["alpha"] <= 0:
-            raise ConfigError(f"'run.alpha' must be positive, got {out['alpha']}")
     if command == "build":
         if out["amplitude_mode"] not in ("analytic", "calibrated"):
             raise ConfigError(f"'run.amplitude_mode' must be 'analytic' or 'calibrated', got {out['amplitude_mode']!r}")

@@ -194,8 +194,10 @@ def packet_observables(block: np.ndarray, grid: SpatialGrid, hbar: float):
     time step lets the norm drift. The momentum is expect_p's central
     difference in the form w (hbar / dx) Im sum_j conj(a_j) a_{j+1}, with
     periodic wraparound. Returns four arrays: (x_mean, p_mean, x_spread, norm).
+    The axis comes from the grid's cached coordinates, so a run that reduces
+    one row per call does not rebuild it each time.
     """
-    xs = grid.axis_points(0)
+    xs = grid.coordinates[:, 0]
     w = grid.weight
     dens = np.abs(block) ** 2
     nsq = w * dens.sum(axis=1)

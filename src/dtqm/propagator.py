@@ -5,8 +5,9 @@ weight, so every entry has the same magnitude w |A| and all structure lives
 in the phase. For the 1D standard/gauged family the phase splits into
 diagonal potential/gauge terms and a kinetic term that depends on j - k
 only, so U = diag(left) K diag(right) with K a Toeplitz chirp; those kernels
-are applied by FFT, on any number of points. Every other kernel is applied
-as a dense matrix. The dense matrix and the unitarity defect are built on
+are applied by FFT, on any number of points: one size-N FFT at tau* / q,
+where K is a chirped DFT, and a size-2N pair otherwise. Every other kernel
+is applied as a dense matrix. The dense matrix and the unitarity defect are built on
 first read, up to MAX_POINTS_1D points in 1D. Unitarity is
 quantified by the max-row-sum norm of U U^dagger - I, which bounds the
 worst-case action on normalized states.
@@ -37,20 +38,19 @@ MAX_POINTS_1D = 1024
 MAX_POINTS_PER_AXIS_2D = 48
 PATHSUM_MAX_POINTS = 64
 # Relative distance of N a / pi from an integer q below which the kinetic
-# factor is taken as the exact (skew-)circulant of tau = tau* / q.
+# factor is taken as the exact chirped DFT of tau = tau* / q.
 MAGIC_TOLERANCE = 1e-12
 
 
 class PropagatorKernel:
     """One-step evolution kernel with its amplitude; matrix and defect built on first read.
 
-    ``factors`` is (left, spectrum, right) for kernels of the form
-    diag(left) K diag(right), with ``spectrum`` the FFT of a circulant that
-    applies the Toeplitz matrix K: size N at tau* / q, size 2N otherwise (see
-    _kernel_factors). ``apply`` then costs O(N log N). Without factors
-    ``apply`` is the dense matvec. ``calibration`` is None for analytic
-    kernels and {"offdiag_row_sum": r, "at_bracket_edge": bool} for
-    calibrated ones (see _calibrate_magnitude).
+    ``factors`` is (left, right, spectrum, rows) for kernels of the form
+    diag(left) K diag(right) (see _kernel_factors); ``apply`` is then one
+    size-N FFT at tau* / q and one size-2N FFT pair otherwise, O(N log N)
+    either way. Without factors ``apply`` is the dense matvec. ``calibration``
+    is None for analytic kernels and {"offdiag_row_sum": r, "at_bracket_edge":
+    bool} for calibrated ones (see _calibrate_magnitude).
     """
 
     __slots__ = ("grid", "model", "amplitude", "calibration", "_factors", "_matrix", "_deviation")
@@ -92,12 +92,18 @@ class PropagatorKernel:
         """
         if self._factors is None:
             return np.matmul(self.matrix, amplitudes, out=out)
-        left, spectrum, right = self._factors
-        work = np.fft.fft(right * amplitudes, len(spectrum))
-        # spectrum first: numpy's complex product is not symmetric in the last bit.
-        np.multiply(spectrum, work, out=work)
-        np.fft.ifft(work, out=work)
-        return np.multiply(left, work[: len(amplitudes)], out=out)
+        left, right, spectrum, rows = self._factors
+        if spectrum is None:
+            work = np.fft.fft(right * amplitudes)
+            if rows is not None:
+                work = work[rows]
+        else:
+            work = np.fft.fft(right * amplitudes, len(spectrum))
+            # spectrum first: numpy's complex product is not symmetric in the last bit.
+            np.multiply(spectrum, work, out=work)
+            np.fft.ifft(work, out=work)
+            work = work[: len(amplitudes)]
+        return np.multiply(left, work, out=out)
 
 
 def magic_time_step(grid: SpatialGrid, mass: float, hbar: float) -> float:
@@ -132,7 +138,7 @@ def _phase_matrix(grid: SpatialGrid, model: ActionModel) -> np.ndarray:
     # Overflow is not reported as a warning: callers check that phases are finite.
     with np.errstate(over="ignore", invalid="ignore"):
         if grid.dimension == 1:
-            x = grid.axis_points(0)
+            x = grid.coordinates[:, 0]
             action = model.s(x[:, None], x[None, :])
         else:
             pts = grid.coordinates
@@ -152,23 +158,24 @@ def _finite(phases: np.ndarray) -> np.ndarray:
 
 
 def _kernel_factors(grid: SpatialGrid, model: StandardAction, amplitude: complex):
-    """(left, spectrum, right) with U = diag(left) K diag(right), K_jk = kin(j - k).
+    """(left, right, spectrum, rows) with U = diag(left) K diag(right), K_jk = kin(j - k).
 
     S(x_j, x_k) = kin(x_j - x_k) + half_j + half_k + phi_j - phi_k, where
     half = S(x, x) / 2 = -tau V(x) / 2 and the gauge term is exactly zero at
     coincident points. The kinetic phase is a d^2 with a = m dx^2 / (2 tau hbar).
 
-    When q = N a / pi is an integer (tau = tau* / q), kin(d + N) = (-1)^(qN)
-    kin(d): K is circulant for even qN and skew-circulant for odd qN. Then
-    K = diag(t^-1) C diag(t) with t_j = exp(i pi s j / N), s = qN mod 2, and C
-    the circulant on c_d = exp(i pi (q d^2 + s d) / N); the twist t folds into
-    left and right, and one size-N FFT pair applies K. The phase is taken
-    mod 2N in integers, so it carries no O(N eps) rounding at large d.
-    Otherwise K is embedded in a 2N circulant, for any N and time step.
+    When q = N a / pi is an integer (tau = tau* / q), (j - k)^2 = j^2 - 2jk + k^2
+    makes K = diag(c) F_q diag(c), a chirped DFT: c_j = exp(i pi q j^2 / N) and
+    F_q[j, k] = exp(-2 pi i q j k / N), the DFT with its rows gathered by
+    q j mod N. The chirp folds into left and right, so one size-N FFT applies
+    K; ``spectrum`` is None and ``rows`` the gather, None when it is the
+    identity (q = 1 mod N). The chirp phase is taken mod 2N in integers, so it
+    carries no O(N eps) rounding at large j. Otherwise K is embedded in a 2N
+    circulant with FFT ``spectrum``, for any N and time step, and ``rows`` is None.
     """
     c = model.constants
     n = grid.n_total
-    x = grid.axis_points(0)
+    x = grid.coordinates[:, 0]
     a = c.mass * grid.spacing[0] ** 2 / (2.0 * c.time_step * c.hbar)
     q = n * a / math.pi
     # As in _phase_matrix, overflow is left to the finiteness checks below.
@@ -179,19 +186,18 @@ def _kernel_factors(grid: SpatialGrid, model: StandardAction, amplitude: complex
         right = _finite(np.exp(1j * (half - gauge) / c.hbar))
         whole = round(q) if math.isfinite(q) else 0
         if whole >= 1 and abs(q - whole) <= MAGIC_TOLERANCE * q:
-            s = (whole * n) % 2
-            d = np.arange(n)
-            phase = ((whole % (2 * n)) * (d * d % (2 * n)) + s * d) % (2 * n)
-            spectrum = np.fft.fft(np.exp(1j * (math.pi / n) * phase))
-            if s:
-                twist = np.exp(1j * (math.pi / n) * d)
-                left = left * twist.conj()
-                right = right * twist
+            j = np.arange(n)
+            chirp = np.exp(1j * (math.pi / n) * ((whole % (2 * n)) * (j * j % (2 * n)) % (2 * n)))
+            left = left * chirp
+            right = chirp * right
+            spectrum = None
+            rows = None if whole % n == 1 else (whole % n) * j % n
         else:
             d = np.arange(n) * grid.spacing[0]
             kin = _finite(np.exp(1j * c.mass * d * d / (2.0 * c.time_step * c.hbar)))
             spectrum = np.fft.fft(np.concatenate([kin, [0.0], kin[:0:-1]]))
-    return left, spectrum, right
+            rows = None
+    return left, right, spectrum, rows
 
 
 def _calibrate_magnitude(phases: np.ndarray, weight: float, center: float):

@@ -107,6 +107,29 @@ def test_unhashable_builtin_name_is_config_error(tmp_path, capsys):
     assert "'action.potential.name' must be one of" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "action, where, value",
+    [
+        ({"kind": "standard", "potential": {"name": "harmonic", "omega": -1.0}}, "action.potential.omega", -1.0),
+        (
+            {"kind": "standard", "potential": {"name": "cosine_well", "depth": 1.0, "wavenumber": 0.0}},
+            "action.potential.wavenumber",
+            0.0,
+        ),
+        ({"kind": "sine", "strength": -1.0}, "action.strength", -1.0),
+    ],
+    ids=["harmonic_omega", "cosine_well_wavenumber", "sine_strength"],
+)
+def test_non_positive_builtin_parameter_is_config_error(tmp_path, capsys, action, where, value):
+    out = tmp_path / "out"
+    payload = harmonic_evolve_config(str(out))
+    payload["action"] = action
+    assert main(["evolve", "--config", write_config(tmp_path, "bad.json", payload)]) == 2
+    assert capsys.readouterr().err == f"config error: '{where}' must be positive, got {value}\n"
+    # Rejected while validating, before the output directory exists.
+    assert not out.exists()
+
+
 def test_missing_and_invalid_config_files(tmp_path):
     assert main(["evolve", "--config", str(tmp_path / "absent.json")]) == 2
     broken = tmp_path / "broken.json"

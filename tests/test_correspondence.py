@@ -264,7 +264,7 @@ def test_hbar_sweep_reports_packet_warnings():
 
 
 def test_harmonic_tracking_past_the_dense_limit():
-    # N=4096: four times the dense limit, on the size-N circulant path, with
+    # N=4096: four times the dense limit, on the one-FFT chirped-DFT path, with
     # blocks cut to the byte budget (16 rows here).
     g = make_grid(4096, -8.0, 16.0 / 4096)
     model = magic_standard(g, harmonic_potential(1.0, 1.0))
@@ -273,3 +273,25 @@ def test_harmonic_tracking_past_the_dense_limit():
     assert series.max_position_deviation() < 1e-3
     assert series.max_momentum_deviation() < 1e-3
     assert float(np.max(np.abs(series.norm - 1.0))) < 1e-12
+
+
+def test_one_row_blocks_build_the_axis_once(monkeypatch):
+    # N=65536: the byte budget leaves one row per block, so packet_observables
+    # runs once per step; the lattice axis is built once for the whole run.
+    from dtqm.grid import SpatialGrid
+
+    n = 65536
+    assert dtqm.correspondence.BLOCK_BYTES // (16 * n) == 1
+    g = make_grid(n, -8.0, 16.0 / n)
+    model = magic_standard(g, harmonic_potential(1.0, 1.0))
+    builds = []
+    axis_points = SpatialGrid.axis_points
+
+    def counting(self, axis=0):
+        builds.append(axis)
+        return axis_points(self, axis)
+
+    monkeypatch.setattr(SpatialGrid, "axis_points", counting)
+    series = ehrenfest_run(model, g, 0.5, 0.3, 1.0, 5)
+    assert len(series.norm) == 6
+    assert len(builds) <= 1

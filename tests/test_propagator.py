@@ -391,11 +391,36 @@ def test_unitarity_deviation_is_computed_once(monkeypatch):
     assert np.array_equal(kernel.matrix, g.weight * kernel.amplitude * phases)
 
 
+def count_ffts(monkeypatch) -> list:
+    """Record (name, length) of every np.fft.fft / np.fft.ifft call from now on."""
+    calls = []
+
+    def counting(name, transform):
+        def wrapped(*args, **kwargs):
+            result = transform(*args, **kwargs)
+            calls.append((name, len(result)))
+            return result
+
+        return wrapped
+
+    monkeypatch.setattr(np.fft, "fft", counting("fft", np.fft.fft))
+    monkeypatch.setattr(np.fft, "ifft", counting("ifft", np.fft.ifft))
+    return calls
+
+
+def expected_ffts(n: int, tau_factor: float) -> list:
+    # tau* / q: one forward size-N FFT (the chirped DFT); otherwise the 2N pair.
+    if tau_factor in (1.0, 1.0 / 2.0, 1.0 / 3.0, 0.2):
+        return [("fft", n)]
+    return [("fft", 2 * n), ("ifft", 2 * n)]
+
+
 @pytest.mark.parametrize("n", [16, 255, 256, 257, 1024])
-@pytest.mark.parametrize("tau_factor", [1.0, 1.0 / 3.0, 0.93])
-def test_circulant_apply_matches_dense_matrix(n, tau_factor):
-    # Oracle: at tau* / q the kinetic factor is a size-N (skew-)circulant with
-    # exact integer phases; the dense matrix is built from model.s all the same.
+@pytest.mark.parametrize("tau_factor", [1.0, 1.0 / 3.0, 0.93, 1.0 / 2.0, 0.2])
+def test_circulant_apply_matches_dense_matrix(n, tau_factor, monkeypatch):
+    # Oracle: at tau* / q the kinetic factor is a chirped DFT with exact integer
+    # phases, its rows gathered by q j mod N (not a permutation when gcd(q, N) > 1);
+    # the dense matrix is built from model.s all the same.
     g = make_grid(n, -8.0, 16.0 / n)
     c = PhysicalConstants(1.0, tau_factor * magic_time_step(g, 1.0, HBAR), HBAR)
     pot = harmonic_potential(1.0, 1.0)
@@ -403,21 +428,29 @@ def test_circulant_apply_matches_dense_matrix(n, tau_factor):
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     for model in (StandardAction(c, pot), GaugedAction(c, pot, quadratic_phase(0.3))):
         kernel = build_kernel(g, model)
-        assert len(kernel._factors[1]) == (2 * n if tau_factor == 0.93 else n)
-        assert float(np.max(np.abs(kernel.apply(v) - kernel.matrix @ v))) <= 1e-12 * np.linalg.norm(v)
+        with monkeypatch.context() as patch:
+            calls = count_ffts(patch)
+            result = kernel.apply(v)
+        assert calls == expected_ffts(n, tau_factor)
+        assert float(np.max(np.abs(result - kernel.matrix @ v))) <= 1e-12 * np.linalg.norm(v)
 
 
 @pytest.mark.parametrize("n", [16, 255, 256, 257, 1024])
-def test_magic_step_detection(n):
+def test_magic_step_detection(n, monkeypatch):
     g = make_grid(n, -8.0, 16.0 / n)
     tau = magic_time_step(g, 1.0, HBAR)
-    for factor, size in [(1.0, n), (1.0 / 3.0, n), (0.2, n), (0.93, 2 * n), (1.0 + 1e-9, 2 * n), (2.0, 2 * n)]:
+    v = np.ones(n, dtype=complex)
+    for factor in (1.0, 1.0 / 2.0, 1.0 / 3.0, 0.2, 0.93, 1.0 + 1e-9, 2.0):
         kernel = build_kernel(g, StandardAction(PhysicalConstants(1.0, factor * tau, HBAR), zero_potential()))
-        assert len(kernel._factors[1]) == size, factor
-    if n % 2 == 0:
-        # Gauss sum: every eigenvalue of the circulant chirp has modulus sqrt(N).
-        spectrum = build_kernel(g, magic_model(g))._factors[1]
-        assert float(np.max(np.abs(np.abs(spectrum) - math.sqrt(n)))) <= 1e-12 * math.sqrt(n)
+        with monkeypatch.context() as patch:
+            calls = count_ffts(patch)
+            kernel.apply(v)
+        assert calls == expected_ffts(n, factor), factor
+    # Gauss sum: at tau* the analytic amplitude is exactly 1 / (w sqrt(N)), and
+    # the kernel is unitary for even and odd N alike (K = diag(c) F diag(c)).
+    kernel = build_kernel(g, magic_model(g))
+    assert abs(g.weight * abs(kernel.amplitude) * math.sqrt(n) - 1.0) <= 1e-12
+    assert unitarity_defect(kernel.matrix) < 1e-10
 
 
 def test_apply_into_out_is_bit_identical():
@@ -427,7 +460,7 @@ def test_apply_into_out_is_bit_identical():
     tau = magic_time_step(g, 1.0, HBAR)
     pot = harmonic_potential(1.0, 1.0)
     kernels = [
-        build_kernel(g, StandardAction(PhysicalConstants(1.0, f * tau, HBAR), pot)) for f in (1.0, 0.93)
+        build_kernel(g, StandardAction(PhysicalConstants(1.0, f * tau, HBAR), pot)) for f in (1.0, 1.0 / 3.0, 0.93)
     ]
     kernels.append(build_kernel(g, SineAction(PhysicalConstants(1.0, tau, HBAR), 1.0), "calibrated"))
     rng = np.random.default_rng(5)
