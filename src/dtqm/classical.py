@@ -117,14 +117,17 @@ def _linear_step(model, x_prev: float, x_now: float) -> float:
 
 
 def _eom_step_1d(model, x_prev, x_now):
+    if is_standard_family(model):
+        # Overflow is not reported as a warning: _linear_step checks its root.
+        with np.errstate(over="ignore", invalid="ignore"):
+            xi = _linear_step(model, x_prev, x_now)
+            residual = abs(float(float(model.ds_dx(x_now, x_prev)) + model.ds_dy(xi, x_now)))
+        return EomResult(xi, TrajectoryStatus.COMPLETE, residual)
+
     incoming = float(model.ds_dx(x_now, x_prev))
 
     def g(xi):
         return incoming + model.ds_dy(xi, x_now)
-
-    if is_standard_family(model):
-        xi = _linear_step(model, x_prev, x_now)
-        return EomResult(xi, TrajectoryStatus.COMPLETE, abs(float(g(xi))))
 
     def dg(xi):
         return model.d2s_dxdy(xi, x_now)
@@ -200,7 +203,7 @@ def integrate(model: ActionModel, x0, x_minus1, n_steps: int) -> ClassicalTrajec
     non-unique step is resolved (closest to free motion), flagged, and
     integration continues. Steps of the exact standard/gauged family are
     taken in closed form, so they always complete. Momenta and residuals are
-    evaluated over the finished track.
+    evaluated over the finished track; a non-finite one raises NumericalError.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be at least 1, got {n_steps}")
@@ -212,8 +215,10 @@ def integrate(model: ActionModel, x0, x_minus1, n_steps: int) -> ClassicalTrajec
     status = TrajectoryStatus.COMPLETE
     failure_step = None
     if is_standard_family(model):
-        for _ in range(n_steps):
-            track.append(_linear_step(model, track[-2], track[-1]))
+        # Overflow is not reported as a warning: _linear_step checks each root.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(n_steps):
+                track.append(_linear_step(model, track[-2], track[-1]))
     else:
         for n in range(1, n_steps + 1):
             result = eom_step(model, track[-2], track[-1])
@@ -227,10 +232,14 @@ def integrate(model: ActionModel, x0, x_minus1, n_steps: int) -> ClassicalTrajec
             track.append(result.x_next)
     # Row 0 is the seed x_{-1}; the residual of step n is |g| at the root it kept.
     xs = np.array(track)
-    momenta = np.asarray(model.ds_dx(xs[1:], xs[:-1]), dtype=float)
-    balance = np.abs(momenta[:-1] + np.asarray(model.ds_dy(xs[2:], xs[1:-1]), dtype=float))
+    # Overflow is not reported as a warning: non-finite values raise below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        momenta = np.asarray(model.ds_dx(xs[1:], xs[:-1]), dtype=float)
+        balance = np.abs(momenta[:-1] + np.asarray(model.ds_dy(xs[2:], xs[1:-1]), dtype=float))
     if not one_d:
         balance = balance.max(axis=-1)
+    if not (np.all(np.isfinite(momenta)) and np.all(np.isfinite(balance))):
+        raise NumericalError("the momenta or residuals of the classical track are not finite")
     return ClassicalTrajectory(
         times=np.arange(len(xs) - 1),
         positions=xs[1:],
@@ -270,7 +279,9 @@ def _invert_momentum_1d(model, x0: float, p0: float) -> float:
     guess = x0 - c.time_step * p0 / c.mass
     if is_standard_family(model):
         # g is linear in xi with slope d2S/dxdy = -m / tau: one Newton step is exact.
-        root = guess + (c.time_step / c.mass) * float(g(guess))
+        # Overflow is not reported as a warning: the root is checked below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            root = guess + (c.time_step / c.mass) * float(g(guess))
         if not math.isfinite(root):
             raise NumericalError(f"cannot invert the momentum map at x0={x0}, p0={p0}: the root is not finite")
         return root

@@ -40,8 +40,9 @@ class ConfigError(Exception):
 
 
 _NUMBER = (int, float)
-# Schema type of a number that must be greater than zero.
+# Schema types of a number that must be greater than zero, or at least zero.
 _POSITIVE = "positive number"
+_NON_NEGATIVE = "non-negative number"
 
 
 def _require_mapping(value, where: str) -> dict:
@@ -88,6 +89,11 @@ def _typed(value, types, where: str):
         value = _typed(value, float, where)
         if value <= 0:
             raise ConfigError(f"'{where}' must be positive, got {value}")
+        return value
+    if types is _NON_NEGATIVE:
+        value = _typed(value, float, where)
+        if value < 0:
+            raise ConfigError(f"'{where}' must be non-negative, got {value}")
         return value
     if types is str:
         if not isinstance(value, str):
@@ -195,7 +201,7 @@ _RUN_SCHEMAS = {
         {"domain": list, "expect": str},
         {
             "n_samples": (int, 1024),
-            "tolerance": (float, 1e-8),
+            "tolerance": (_NON_NEGATIVE, 1e-8),
         },
     ),
     "evolve": (
@@ -203,8 +209,8 @@ _RUN_SCHEMAS = {
         {
             "alpha": (_POSITIVE, 1.0),
             "amplitude_mode": (str, "analytic"),
-            "tracking_tolerance": (float, None),
-            "norm_tolerance": (float, None),
+            "tracking_tolerance": (_NON_NEGATIVE, None),
+            "norm_tolerance": (_NON_NEGATIVE, None),
         },
     ),
     "classical": (
@@ -223,7 +229,7 @@ _RUN_SCHEMAS = {
         {},
         {
             "amplitude_mode": (str, "analytic"),
-            "max_unitarity_deviation": (float, None),
+            "max_unitarity_deviation": (_NON_NEGATIVE, None),
         },
     ),
 }
@@ -344,6 +350,14 @@ def load_config(path: str, command: str) -> dict:
 
     if command == "sweep" and cfg["constants"]["tau"] == "magic":
         raise ConfigError("command 'sweep' needs a numeric 'constants.tau' (the grid is retuned per hbar)")
+    if cfg["constants"]["tau"] == "magic":
+        if grid_usage == "forbidden":
+            raise ConfigError("'constants.tau' = 'magic' needs a grid block")
+        # The step of a tiny or huge lattice can underflow to 0 or overflow.
+        c = cfg["constants"]
+        tau = magic_time_step(build_grid(cfg), c["mass"], c["hbar"])
+        if not (math.isfinite(tau) and tau > 0):
+            raise ConfigError(f"'constants.tau' = 'magic' resolves to {tau}, not a positive finite time step")
     if command != "check-action" and cfg["action"]["kind"] == "vector_potential_2d":
         raise ConfigError(f"command '{command}' drives 1D actions only")
     if (
@@ -368,9 +382,8 @@ def build_constants(cfg: dict, grid: SpatialGrid | None, hbar_override: float | 
     c = cfg["constants"]
     hbar = c["hbar"] if hbar_override is None else hbar_override
     tau = c["tau"]
+    # load_config accepts 'magic' only where the config has a grid.
     if tau == "magic":
-        if grid is None:
-            raise ConfigError("'constants.tau' = 'magic' needs a grid block")
         tau = magic_time_step(grid, c["mass"], hbar)
     return PhysicalConstants(c["mass"], tau, hbar)
 

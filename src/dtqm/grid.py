@@ -196,15 +196,20 @@ def packet_observables(block: np.ndarray, grid: SpatialGrid, hbar: float):
     periodic wraparound. Returns four arrays: (x_mean, p_mean, x_spread, norm).
     The axis comes from the grid's cached coordinates, so a run that reduces
     one row per call does not rebuild it each time.
+
+    Every reduction runs row by row (a sum or a vecdot), never as one matrix
+    product over the block, so a row's values do not depend on how many rows
+    the block holds.
     """
     xs = grid.coordinates[:, 0]
     w = grid.weight
-    dens = np.abs(block) ** 2
+    dens = np.abs(block)
+    np.square(dens, out=dens)
     nsq = w * dens.sum(axis=1)
-    x_mean = w * (xs * dens).sum(axis=1) / nsq
-    x_sq = w * (xs * xs * dens).sum(axis=1) / nsq
-    # Pairwise sums of the imaginary parts; the last term closes the periodic wrap.
-    hop = (block[:, :-1].conj() * block[:, 1:]).imag.sum(axis=1) + (block[:, -1].conj() * block[:, 0]).imag
+    x_mean = w * np.vecdot(dens, xs) / nsq
+    x_sq = w * np.vecdot(dens, xs * xs) / nsq
+    # vecdot conjugates its first argument; the last term closes the periodic wrap.
+    hop = np.vecdot(block[:, :-1], block[:, 1:]).imag + (block[:, -1].conj() * block[:, 0]).imag
     p_mean = w * (hbar / grid.spacing[0]) * hop / nsq
     return x_mean, p_mean, np.sqrt(np.maximum(x_sq - x_mean * x_mean, 0.0)), np.sqrt(nsq)
 

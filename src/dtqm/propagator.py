@@ -88,13 +88,16 @@ class PropagatorKernel:
         """U v, by FFT when the kernel has factors and as a dense matvec otherwise.
 
         With ``out`` the result is written there and returned; ``out`` may be
-        ``amplitudes`` itself, and the values are the same bit for bit.
+        ``amplitudes`` itself, and the values are the same bit for bit. At
+        tau* / q the FFT runs in ``out``, so a step without a gather
+        allocates nothing.
         """
         if self._factors is None:
             return np.matmul(self.matrix, amplitudes, out=out)
         left, right, spectrum, rows = self._factors
         if spectrum is None:
-            work = np.fft.fft(right * amplitudes)
+            work = np.multiply(right, amplitudes, out=out)
+            np.fft.fft(work, out=work)
             if rows is not None:
                 work = work[rows]
         else:

@@ -1,5 +1,7 @@
 """Tests for the discrete classical solver and its oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from dtqm import (
     invert_momentum,
     is_standard_family,
     leapfrog_reference,
+    magic_time_step,
     make_grid,
     momentum_from_pair,
     quadratic_phase,
@@ -336,6 +339,34 @@ def test_non_finite_closed_form_root_is_a_numerical_error():
             eom_step(model, -1e308, 1e308)
         with pytest.raises(NumericalError, match="not finite"):
             invert_momentum(model, 1.7e308, -1e308)
+
+
+def test_closed_form_overflow_is_a_numerical_error_not_a_warning():
+    # The magic steps of a 256-point lattice with spacing 1/16, as in an evolve run.
+    grid = make_grid(256, -8.0, 0.0625)
+    runaway = StandardAction(PhysicalConstants(1.0, magic_time_step(grid, 1.0, HBAR), HBAR), quartic_potential(-1.0))
+    heavy = StandardAction(
+        PhysicalConstants(1e300, magic_time_step(grid, 1e300, HBAR), HBAR), harmonic_potential(1e300, 1.0)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="not finite"):
+            invert_momentum(heavy, 0.5, 0.3)
+        # V = -x^4 runs away to x ~ 1e108 within 14 steps, where V' overflows.
+        x_minus1 = invert_momentum(runaway, 0.5, 0.3)
+        failed = []
+        for n in range(1, 21):
+            try:
+                trajectory = integrate(runaway, 0.5, x_minus1, n)
+            except NumericalError as exc:
+                assert "not finite" in str(exc)
+                failed.append(n)
+            else:
+                assert np.all(np.isfinite(trajectory.momenta)) and np.all(np.isfinite(trajectory.residuals))
+        # Every run that reaches the overflow fails, also the one whose last momentum overflows.
+        assert failed == list(range(failed[0], 21)) and failed[0] <= 14
+        with pytest.raises(NumericalError, match="not finite"):
+            eom_step(runaway, 2.812114144621711e36, 2.2531966101729874e108)
 
 
 def test_closed_form_path_runs_no_scan(monkeypatch):

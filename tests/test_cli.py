@@ -464,6 +464,81 @@ def test_non_finite_kernel_phase_is_numerical_failure(tmp_path, capsys, command,
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "mass, potential",
+    [(1.0, {"name": "quartic", "strength": -1.0}), (1e300, {"name": "harmonic", "omega": 1.0})],
+    ids=["runaway_quartic", "huge_mass"],
+)
+def test_classical_overflow_is_one_numerical_failure_line(tmp_path, capsys, mass, potential):
+    # The closed-form classical track overflows: in the step, and in the momentum inversion.
+    payload = harmonic_evolve_config(str(tmp_path / "out"))
+    payload["constants"]["mass"] = mass
+    payload["action"]["potential"] = potential
+    payload["run"] = {"x0": 0.5, "p0": 0.3, "n_steps": 20}
+    cfg = write_config(tmp_path, "overflow.json", payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning would be a second stderr line
+        assert main(["evolve", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "not finite" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _build_config(outdir):
+    return {
+        "grid": {"n_points": 128, "x_min": -8.0, "spacing": 0.125},
+        "constants": {"mass": 1.0, "hbar": 1.0, "tau": "magic"},
+        "action": {"kind": "standard", "potential": {"name": "zero"}},
+        "run": {},
+        "output": {"directory": outdir},
+    }
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("evolve", "tracking_tolerance"),
+        ("evolve", "norm_tolerance"),
+        ("build", "max_unitarity_deviation"),
+        ("check-action", "tolerance"),
+    ],
+)
+def test_negative_tolerance_is_config_error(tmp_path, capsys, command, key):
+    out = tmp_path / "out"
+    make = {"evolve": harmonic_evolve_config, "build": _build_config, "check-action": _check_action_config}[command]
+    payload = make(str(out))
+    payload["run"][key] = -1.0
+    assert main([command, "--config", write_config(tmp_path, "negative.json", payload)]) == 2
+    assert capsys.readouterr().err == f"config error: 'run.{key}' must be non-negative, got -1.0\n"
+    # Rejected while validating, before the output directory exists.
+    assert not out.exists()
+    payload["run"][key] = 0.0
+    assert main([command, "--config", write_config(tmp_path, "zero.json", payload)]) in (0, 1)
+
+
+@pytest.mark.parametrize("command", ["evolve", "build"])
+def test_magic_step_that_underflows_is_config_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    payload = harmonic_evolve_config(str(out)) if command == "evolve" else _build_config(str(out))
+    payload["grid"]["spacing"] = 1e-300
+    assert main([command, "--config", write_config(tmp_path, "tiny.json", payload)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: 'constants.tau' = 'magic' resolves to 0.0, not a positive finite time step\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["check-action", "classical"])
+def test_magic_step_without_a_grid_is_config_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    payload = _check_action_config(str(out))
+    if command == "classical":
+        payload["run"] = {"x0": 0.5, "x_minus1": 0.4, "n_steps": 5}
+    payload["constants"]["tau"] = "magic"
+    assert main([command, "--config", write_config(tmp_path, "magic.json", payload)]) == 2
+    assert capsys.readouterr().err == "config error: 'constants.tau' = 'magic' needs a grid block\n"
+    assert not out.exists()
+
+
 def test_grid_block_rejected_where_unused(tmp_path):
     payload = {
         "grid": {"n_points": 64, "x_min": -4.0, "spacing": 0.125},

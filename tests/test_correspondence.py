@@ -225,6 +225,32 @@ def test_packet_run_series_does_not_depend_on_the_block_size(monkeypatch, rows):
         np.testing.assert_array_equal(getattr(short, name), getattr(reference, name)[:41])
 
 
+def test_packet_observables_match_grid_observables_on_an_odd_lattice():
+    # Odd N: the hop term's vecdot and the wrap term cover 254 + 1 pairs.
+    g = make_grid(255, -8.0, 16.0 / 255)
+    kernel = build_kernel(g, magic_standard(g, harmonic_potential(1.0, 1.0)))
+    states = [make_gaussian(g, 0.5, 0.3, 1.0, HBAR)]
+    for _ in range(30):
+        states.append(evolve(kernel, states[-1]))
+    x_mean, p_mean, x_spread, norms = packet_observables(np.array([s.amplitudes for s in states]), g, HBAR)
+    for n, psi in enumerate(states):
+        assert abs(x_mean[n] - expect_x(psi)[0]) < 1e-13
+        assert abs(p_mean[n] - expect_p(psi, HBAR)[0]) < 1e-13
+        assert abs(x_spread[n] - position_spread(psi)[0]) < 1e-13
+        assert abs(norms[n] - norm(psi)) < 1e-13
+
+
+@pytest.mark.parametrize("rows", [1, 7, 200])
+def test_odd_lattice_series_does_not_depend_on_the_block_size(monkeypatch, rows):
+    g = make_grid(255, -8.0, 16.0 / 255)
+    model = magic_standard(g, harmonic_potential(1.0, 1.0))
+    reference = ehrenfest_run(model, g, 0.5, 0.3, 1.0, 150)
+    monkeypatch.setattr(dtqm.correspondence, "BLOCK_ROWS", rows)
+    series = ehrenfest_run(model, g, 0.5, 0.3, 1.0, 150)
+    for name in ("x_mean", "p_mean", "x_spread", "norm"):
+        np.testing.assert_array_equal(getattr(series, name), getattr(reference, name))
+
+
 def test_non_finite_amplitudes_are_a_numerical_error(monkeypatch):
     build = dtqm.correspondence.build_kernel
 

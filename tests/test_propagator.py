@@ -475,6 +475,33 @@ def test_apply_into_out_is_bit_identical():
         np.testing.assert_array_equal(alias, expected)
 
 
+def test_magic_apply_into_out_allocates_nothing():
+    import tracemalloc
+
+    n = 1024
+    g = make_grid(n, -8.0, 16.0 / n)
+    tau = magic_time_step(g, 1.0, HBAR)
+    pot = harmonic_potential(1.0, 1.0)
+    rng = np.random.default_rng(7)
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    out = np.empty_like(v)
+    kernel = build_kernel(g, StandardAction(PhysicalConstants(1.0, tau, HBAR), pot))
+    for _ in range(3):  # warm-up: numpy's FFT caches its plan on first use
+        kernel.apply(v, out=out)
+    tracemalloc.start()
+    try:
+        kernel.apply(v, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One complex vector of n points is 16 n bytes; a step holds less than that.
+    assert peak < 16 * n
+    # At tau* / 3 the gather copies one vector, and the values still match the matrix.
+    kernel = build_kernel(g, StandardAction(PhysicalConstants(1.0, tau / 3.0, HBAR), pot))
+    assert kernel.apply(v, out=out) is out
+    assert float(np.max(np.abs(out - kernel.matrix @ v))) <= 1e-12 * np.linalg.norm(v)
+
+
 def test_dense_size_limit_applies_to_the_matrix_only():
     from dtqm.propagator import MAX_POINTS_1D
 
