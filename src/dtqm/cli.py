@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract: 0 success/pass, 1 tolerance failure,
 2 configuration error, 3 numerical failure (solver, non-finite kernel
-phases, boundary safety, criterion sampling or linear algebra).
+phases, boundary safety, criterion sampling or linear algebra), 4 internal
+error (any other exception: a defect, reported as one line).
 Identical configs reproduce byte-identical CSV and JSON outputs except for
 the wall-time field of the run report.
 """
@@ -10,6 +11,7 @@ the wall-time field of the run report.
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -27,6 +29,7 @@ EXIT_OK = 0
 EXIT_TOLERANCE = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_INTERNAL = 4
 
 CSV_VERSION = "dtqm-csv-v1"
 
@@ -49,8 +52,7 @@ def _write_series_csv(path: str, s) -> None:
 def _write_report(outdir: str, report: dict) -> str:
     path = os.path.join(outdir, "report.json")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return path
 
 
@@ -169,7 +171,13 @@ def _cmd_build(cfg: dict, outdir: str, formats: set[str]) -> tuple[int, dict, li
     model = build_action(cfg, constants)
     run = cfg["run"]
     kernel = build_kernel(grid, model, run["amplitude_mode"])
-    eig_magnitudes = np.abs(np.linalg.eigvals(kernel.matrix))
+    # At tau* / q with gcd(q, N) = 1 every eigenvalue has the Gauss-sum magnitude.
+    magnitude = kernel.gauss_sum_magnitude
+    if magnitude is None:
+        eig_magnitudes = np.abs(np.linalg.eigvals(kernel.matrix))
+        eig_min, eig_max = float(eig_magnitudes.min()), float(eig_magnitudes.max())
+    else:
+        eig_min = eig_max = magnitude
     results = {
         "n_points": grid.n_total,
         "spacing": grid.spacing[0],
@@ -179,8 +187,14 @@ def _cmd_build(cfg: dict, outdir: str, formats: set[str]) -> tuple[int, dict, li
         "amplitude_magnitude": abs(kernel.amplitude),
         "amplitude_phase": float(np.angle(kernel.amplitude)),
         "unitarity_deviation": kernel.unitarity_deviation,
-        "eig_magnitude_min": float(eig_magnitudes.min()),
-        "eig_magnitude_max": float(eig_magnitudes.max()),
+        "eig_magnitude_min": eig_min,
+        "eig_magnitude_max": eig_max,
+        "kernel": {
+            "apply": kernel.apply_path,
+            "q": kernel.q,
+            "gcd_q_n": None if kernel.q is None else math.gcd(kernel.q, grid.n_total),
+            "eig_source": "eigvals" if magnitude is None else "gauss_sum",
+        },
     }
     if kernel.calibration is not None:
         results["calibration"] = kernel.calibration
@@ -252,6 +266,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     for line in failures:
         print(f"FAIL: {line}", file=sys.stderr)
     return code

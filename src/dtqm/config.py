@@ -366,7 +366,8 @@ def load_config(path: str, command: str) -> dict:
         and cfg["action"]["kind"] not in ("standard", "gauged")
     ):
         raise ConfigError("analytic amplitude mode needs a standard or gauged action; use 'calibrated'")
-    # build reads the dense matrix for eigvals; calibration always builds it.
+    # build reads the dense matrix for its unitarity defect (and for eigvals off
+    # the Gauss-sum case); calibration always builds it.
     dense = command == "build" or (command == "evolve" and cfg["run"]["amplitude_mode"] == "calibrated")
     if dense and cfg["grid"]["n_points"] > MAX_POINTS_1D:
         raise ConfigError(f"dense 1D kernels are limited to {MAX_POINTS_1D} points, got {cfg['grid']['n_points']}")

@@ -11,6 +11,11 @@ is applied as a dense matrix. The dense matrix and the unitarity defect are buil
 first read, up to MAX_POINTS_1D points in 1D. Unitarity is
 quantified by the max-row-sum norm of U U^dagger - I, which bounds the
 worst-case action on normalized states.
+
+At tau* / q with gcd(q, N) = 1 the chirped DFT is sqrt(N) times a unitary,
+so U is w |A| sqrt(N) times a unitary and every eigenvalue has that
+magnitude (the Gauss sum); ``gauss_sum_magnitude`` gives it without an
+eigensolve. The unitarity defect is still measured from the dense matrix.
 """
 
 import cmath
@@ -48,18 +53,20 @@ class PropagatorKernel:
     ``factors`` is (left, right, spectrum, rows) for kernels of the form
     diag(left) K diag(right) (see _kernel_factors); ``apply`` is then one
     size-N FFT at tau* / q and one size-2N FFT pair otherwise, O(N log N)
-    either way. Without factors ``apply`` is the dense matvec. ``calibration``
-    is None for analytic kernels and {"offdiag_row_sum": r, "at_bracket_edge":
-    bool} for calibrated ones (see _calibrate_magnitude).
+    either way. Without factors ``apply`` is the dense matvec. ``q`` is the
+    integer with tau = tau* / q when ``apply`` is the chirped DFT, else None.
+    ``calibration`` is None for analytic kernels and {"offdiag_row_sum": r,
+    "at_bracket_edge": bool} for calibrated ones (see _calibrate_magnitude).
     """
 
-    __slots__ = ("grid", "model", "amplitude", "calibration", "_factors", "_matrix", "_deviation")
+    __slots__ = ("grid", "model", "amplitude", "calibration", "q", "_factors", "_matrix", "_deviation")
 
-    def __init__(self, grid, model, amplitude, factors, matrix, calibration):
+    def __init__(self, grid, model, amplitude, factors, matrix, calibration, q):
         self.grid = grid
         self.model = model
         self.amplitude = amplitude
         self.calibration = calibration
+        self.q = q
         self._factors = factors
         if matrix is not None:
             matrix.flags.writeable = False
@@ -83,6 +90,26 @@ class PropagatorKernel:
         if self._deviation is None:
             self._deviation = unitarity_defect(self.matrix)
         return self._deviation
+
+    @property
+    def apply_path(self) -> str:
+        """``chirped_dft`` (one size-N FFT), ``embedding_2n`` (a size-2N FFT pair) or ``dense``."""
+        if self._factors is None:
+            return "dense"
+        return "chirped_dft" if self._factors[2] is None else "embedding_2n"
+
+    @property
+    def gauss_sum_magnitude(self) -> float | None:
+        """w |A| sqrt(N), every eigenvalue's magnitude, at tau* / q with gcd(q, N) = 1; else None.
+
+        The rows of F_q are then a permutation of the DFT's, so F_q / sqrt(N)
+        is unitary, and so is U / (w |A| sqrt(N)): |left| = w |A| and
+        |right| = 1 (see _kernel_factors).
+        """
+        n = self.grid.n_total
+        if self.q is None or math.gcd(self.q, n) != 1:
+            return None
+        return self.grid.weight * abs(self.amplitude) * math.sqrt(n)
 
     def apply(self, amplitudes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """U v, by FFT when the kernel has factors and as a dense matvec otherwise.
@@ -161,7 +188,7 @@ def _finite(phases: np.ndarray) -> np.ndarray:
 
 
 def _kernel_factors(grid: SpatialGrid, model: StandardAction, amplitude: complex):
-    """(left, right, spectrum, rows) with U = diag(left) K diag(right), K_jk = kin(j - k).
+    """((left, right, spectrum, rows), q) with U = diag(left) K diag(right), K_jk = kin(j - k).
 
     S(x_j, x_k) = kin(x_j - x_k) + half_j + half_k + phi_j - phi_k, where
     half = S(x, x) / 2 = -tau V(x) / 2 and the gauge term is exactly zero at
@@ -174,7 +201,8 @@ def _kernel_factors(grid: SpatialGrid, model: StandardAction, amplitude: complex
     K; ``spectrum`` is None and ``rows`` the gather, None when it is the
     identity (q = 1 mod N). The chirp phase is taken mod 2N in integers, so it
     carries no O(N eps) rounding at large j. Otherwise K is embedded in a 2N
-    circulant with FFT ``spectrum``, for any N and time step, and ``rows`` is None.
+    circulant with FFT ``spectrum``, for any N and time step, ``rows`` is None
+    and q is returned as None.
     """
     c = model.constants
     n = grid.n_total
@@ -195,12 +223,14 @@ def _kernel_factors(grid: SpatialGrid, model: StandardAction, amplitude: complex
             right = chirp * right
             spectrum = None
             rows = None if whole % n == 1 else (whole % n) * j % n
+            magic_q = whole
         else:
             d = np.arange(n) * grid.spacing[0]
             kin = _finite(np.exp(1j * c.mass * d * d / (2.0 * c.time_step * c.hbar)))
             spectrum = np.fft.fft(np.concatenate([kin, [0.0], kin[:0:-1]]))
             rows = None
-    return left, right, spectrum, rows
+            magic_q = None
+    return (left, right, spectrum, rows), magic_q
 
 
 def _calibrate_magnitude(phases: np.ndarray, weight: float, center: float):
@@ -262,9 +292,9 @@ def build_kernel(grid: SpatialGrid, model: ActionModel, amplitude_mode: str = "a
     else:
         raise ValueError(f"unknown amplitude mode '{amplitude_mode}'")
     amplitude = complex(amplitude)
-    factors = _kernel_factors(grid, model, amplitude) if is_standard_family(model) else None
+    factors, q = _kernel_factors(grid, model, amplitude) if is_standard_family(model) else (None, None)
     matrix = None if phases is None else grid.weight * amplitude * phases
-    return PropagatorKernel(grid, model, amplitude, factors, matrix, calibration)
+    return PropagatorKernel(grid, model, amplitude, factors, matrix, calibration, q)
 
 
 def evolve(kernel: PropagatorKernel, psi: WaveState) -> WaveState:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line driver: exit codes, outputs, determinism."""
 
 import json
+import math
 import os
 import warnings
 
@@ -607,18 +608,26 @@ def test_criterion_error_is_numerical_failure(tmp_path, capsys, monkeypatch):
     assert err == "numerical failure: action evaluator failed at x=0.5, y=-0.5\n"
 
 
+def _build32_config(outdir, action, tau_share=1.0, mode="analytic"):
+    """A build config on 32 points, at tau_share times the magic step."""
+    magic_tau = 0.25 * 8.0 / (2.0 * math.pi)
+    return {
+        "grid": {"n_points": 32, "x_min": -4.0, "spacing": 0.25},
+        "constants": {"mass": 1.0, "hbar": 1.0, "tau": "magic" if tau_share == 1.0 else tau_share * magic_tau},
+        "action": action,
+        "run": {"amplitude_mode": mode},
+        "output": {"directory": outdir},
+    }
+
+
 def test_linalg_error_after_validation_is_numerical_failure(tmp_path, capsys, monkeypatch):
     def broken(matrix):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigvals", broken)
-    payload = {
-        "grid": {"n_points": 32, "x_min": -4.0, "spacing": 0.25},
-        "constants": {"mass": 1.0, "hbar": 1.0, "tau": "magic"},
-        "action": {"kind": "standard", "potential": {"name": "zero"}},
-        "run": {},
-        "output": {"directory": str(tmp_path / "out")},
-    }
+    # Off the magic step the spectrum is not known in closed form, so build calls eigvals.
+    zero = {"kind": "standard", "potential": {"name": "zero"}}
+    payload = _build32_config(str(tmp_path / "out"), zero, 0.93, "calibrated")
     cfg = write_config(tmp_path, "build.json", payload)
     assert main(["build", "--config", cfg]) == 3
     assert capsys.readouterr().err == "numerical failure: Eigenvalues did not converge\n"
@@ -673,3 +682,98 @@ def test_cli_import_does_not_load_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert done.stdout == "[]\n"
+
+
+def _count_eigvals(monkeypatch):
+    calls = []
+    original = np.linalg.eigvals
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return original(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    return calls
+
+
+HARMONIC = {"kind": "standard", "potential": {"name": "harmonic", "omega": 1.0}}
+GAUGED = {"kind": "gauged", "potential": {"name": "cosine_well", "depth": 2.0}, "phase": {"name": "linear", "slope": 0.3}}
+QUARTIC_PROBE = {"kind": "quartic", "potential": {"name": "zero"}, "epsilon": 0.1}
+SINE_PROBE = {"kind": "sine", "strength": 1.0}
+
+
+def _block(apply, q, source):
+    return {"apply": apply, "q": q, "gcd_q_n": None if q is None else math.gcd(q, 32), "eig_source": source}
+
+
+@pytest.mark.parametrize(
+    "action, tau_share, mode, kernel",
+    [
+        (HARMONIC, 1.0, "analytic", _block("chirped_dft", 1, "gauss_sum")),
+        (GAUGED, 1.0, "calibrated", _block("chirped_dft", 1, "gauss_sum")),
+        (GAUGED, 1.0 / 3.0, "analytic", _block("chirped_dft", 3, "gauss_sum")),
+        (HARMONIC, 0.5, "analytic", _block("chirped_dft", 2, "eigvals")),  # gcd(2, 32) = 2
+        (HARMONIC, 0.93, "calibrated", _block("embedding_2n", None, "eigvals")),
+        (QUARTIC_PROBE, 1.0, "calibrated", _block("dense", None, "eigvals")),
+        (SINE_PROBE, 1.0, "calibrated", _block("dense", None, "eigvals")),
+    ],
+)
+def test_build_calls_eigvals_only_off_the_gauss_sum(tmp_path, monkeypatch, action, tau_share, mode, kernel):
+    calls = _count_eigvals(monkeypatch)
+    out = str(tmp_path / "out")
+    cfg = write_config(tmp_path, "build.json", _build32_config(out, action, tau_share, mode))
+    assert main(["build", "--config", cfg]) == 0
+    results = read_report(out)["results"]
+    assert results["kernel"] == kernel
+    assert calls == ([] if kernel["eig_source"] == "gauss_sum" else [(32, 32)])
+    if not calls:
+        expected = 0.25 * results["amplitude_magnitude"] * math.sqrt(32)
+        assert results["eig_magnitude_min"] == results["eig_magnitude_max"] == expected
+
+
+def test_build_of_a_family_subclass_calls_eigvals(tmp_path, monkeypatch):
+    import dtqm.cli
+    from dtqm import StandardAction, harmonic_potential
+
+    class Subclass(StandardAction):
+        pass
+
+    monkeypatch.setattr(dtqm.cli, "build_action", lambda cfg, c: Subclass(c, harmonic_potential(1.0, 1.0)))
+    calls = _count_eigvals(monkeypatch)
+    out = str(tmp_path / "out")
+    cfg = write_config(tmp_path, "build.json", _build32_config(out, HARMONIC))
+    assert main(["build", "--config", cfg]) == 0
+    assert calls == [(32, 32)]
+    assert read_report(out)["results"]["kernel"] == _block("dense", None, "eigvals")
+
+
+def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
+    import dtqm.cli
+
+    def broken(cfg, outdir, formats):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setitem(dtqm.cli._HANDLERS, "check-action", broken)
+    cfg = write_config(tmp_path, "check.json", _check_action_config(str(tmp_path / "out")))
+    assert main(["check-action", "--config", cfg]) == 4
+    assert capsys.readouterr().err == "internal error: TypeError: unsupported operand\n"
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_report_bytes_match_json_dump(tmp_path):
+    import io
+
+    from dtqm.cli import _write_report
+
+    report = {
+        "z": [1, 2.5, None, True, {"b": 1e-300, "a": [float("inf"), -0.0]}],
+        "config": {"run": {"hbar_list": [1.0, 0.5]}, "name": "café"},
+        "results": {"sweep": {"errors": {}, "deviations": {"1.0": 0.1 / 3.0}}, "empty": []},
+        "pass": False,
+    }
+    old = io.StringIO()
+    json.dump(report, old, indent=2, sort_keys=True)
+    old.write("\n")
+    path = _write_report(str(tmp_path), report)
+    with open(path, "rb") as fh:
+        assert fh.read() == old.getvalue().encode("utf-8")

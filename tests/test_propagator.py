@@ -517,3 +517,80 @@ def test_dense_size_limit_applies_to_the_matrix_only():
         kernel.matrix
     with pytest.raises(ValueError, match="dense 1D kernels are limited"):
         build_kernel(g, model, "calibrated")
+
+
+def builtin_family_models(constants):
+    """Every built-in potential as a standard action and under every built-in gauge phase."""
+    from dtqm import cosine_well_potential, linear_phase, zero_phase
+
+    pots = [zero_potential(), harmonic_potential(1.0, 1.0), quartic_potential(0.02), cosine_well_potential(6.0, 0.35)]
+    phases = [zero_phase(), linear_phase(0.3), quadratic_phase(0.2)]
+    return [StandardAction(constants, p) for p in pots] + [
+        GaugedAction(constants, p, phase) for p in pots for phase in phases
+    ]
+
+
+def gauss_sum_cases():
+    """(n, q, tau factor, model index, mode): each lattice, q, step, built-in and mode at least once.
+
+    Every (n, q) with gcd(q, n) = 1 is taken at tau* / q and 1e-13 either side
+    of it; the 16 built-in models and the two modes rotate through the cases.
+    """
+    steps = [
+        (n, q, f)
+        for n in (16, 127, 128, 255, 256)
+        for q in (1, 2, 3, 5)
+        if math.gcd(q, n) == 1
+        for f in (1.0, 1.0 + 1e-13, 1.0 - 1e-13)
+    ]
+    return [(n, q, f, i % 16, ("analytic", "calibrated")[i // 16 % 2]) for i, (n, q, f) in enumerate(steps)]
+
+
+@pytest.mark.parametrize("n, q, tau_factor, model_index, mode", gauss_sum_cases())
+def test_gauss_sum_magnitude_matches_eigvals(n, q, tau_factor, model_index, mode):
+    g = make_grid(n, -8.0, 16.0 / n)
+    c = PhysicalConstants(1.0, tau_factor * magic_time_step(g, 1.0, HBAR) / q, HBAR)
+    kernel = build_kernel(g, builtin_family_models(c)[model_index], mode)
+    assert (kernel.q, kernel.apply_path) == (q, "chirped_dft")
+    expected = kernel.gauss_sum_magnitude
+    assert expected == g.weight * abs(kernel.amplitude) * math.sqrt(n)
+
+    def worst(matrix):
+        magnitudes = np.abs(np.linalg.eigvals(matrix))
+        return max(abs(magnitudes.min() - expected), abs(magnitudes.max() - expected)) / expected
+
+    # The dense matrix is built from S at the configured step itself. A relative
+    # step error delta adds the phase -a delta (j - k)^2 with a = pi q / N; its
+    # cross term 2 a delta j k moves the singular values, and so the eigenvalue
+    # magnitudes, by up to 2 pi q N |delta| to first order.
+    assert worst(kernel.matrix) <= 2.0 * math.pi * q * n * abs(tau_factor - 1.0) + 1e-12
+    if tau_factor != 1.0:
+        # The operator apply() uses, column by column: the factor form takes
+        # the step as tau* / q, so its spectrum is the Gauss sum's to roundoff.
+        applied = np.stack([kernel.apply(e) for e in np.eye(n, dtype=complex)], axis=1)
+        assert worst(applied) <= 1e-12
+
+
+def test_gauss_sum_magnitude_is_none_where_the_spectrum_is_not_known():
+    class Subclass(StandardAction):
+        pass
+
+    g = make_grid(16, -4.0, 0.5)
+    tau = magic_time_step(g, 1.0, HBAR)
+
+    def kernel(factor, make=StandardAction, mode="analytic"):
+        c = PhysicalConstants(1.0, factor * tau, HBAR)
+        model = make(c, zero_potential()) if make in (StandardAction, Subclass) else make(c)
+        return build_kernel(g, model, mode)
+
+    cases = [
+        (kernel(0.93), "embedding_2n", None),
+        (kernel(0.5), "chirped_dft", 2),  # gcd(2, 16) = 2: F_2 repeats rows
+        (kernel(1.0 / 16.0), "chirped_dft", 16),  # every row is the first
+        (kernel(1.0, lambda c: QuarticAction(c, zero_potential(), 0.1), "calibrated"), "dense", None),
+        (kernel(1.0, lambda c: SineAction(c, 1.0), "calibrated"), "dense", None),
+        (kernel(1.0, Subclass), "dense", None),
+    ]
+    for k, path, q in cases:
+        assert (k.apply_path, k.q, k.gauss_sum_magnitude) == (path, q, None)
+    assert kernel(1.0).gauss_sum_magnitude == pytest.approx(1.0, abs=1e-15)
