@@ -6,10 +6,10 @@ one-step actions,
     dS(x_now, x_prev)/dx_now + dS(x_next, x_now)/dx_now = 0,
 
 and is solved for x_next. For the admissible 1D family this is linear in
-x_next (the familiar position-leapfrog recursion), so ``integrate`` and
-``invert_momentum`` solve it in closed form; for inadmissible probes a root
-may not exist inside any finite search region, which is exactly the failure
-mode the probes are built to exhibit.
+x_next (Stormer-Verlet), so ``invert_momentum`` and ``integrate`` solve it in
+closed form, the latter in one scalar loop with one dV call per step. For
+inadmissible probes a root may not exist inside any finite search region,
+which is exactly the failure mode the probes are built to exhibit.
 """
 
 import math
@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .action import ActionModel, is_standard_family
+from .action import ActionModel, GaugedAction, is_standard_family
 from .rootfind import newton_solve, scan_roots
 
 __all__ = [
@@ -101,26 +101,42 @@ def _default_radius(model: ActionModel, x_now: float, x_prev: float) -> float:
     return 10.0 * abs(x_now - x_prev) + 10.0 * math.sqrt(c.hbar * c.time_step / c.mass)
 
 
-def _linear_step(model, x_prev: float, x_now: float) -> float:
-    """Next position of the standard family, the one real root of its equation of motion.
+def _family_track(model, x_prev: float, x_now: float, n_steps: int) -> list[float]:
+    """The seed pair and the next n_steps roots x_now + (tau/m) g of the standard family.
 
-    The constant d2S/dxdy = -m / tau makes the equation linear in x_next, so
-    one Newton step from x_now solves it exactly. A non-finite root is a
-    numerical failure, never a verdict.
+    d2S/dxdy = -m / tau makes the equation of motion linear, so one Newton
+    step solves it. g = dS(x_now, x_prev)/dx + dS(x_now, x_now)/dy is summed
+    in the order of the model's evaluators, so the roots match theirs bit for
+    bit. A non-finite root is a numerical failure, never a verdict.
     """
     c = model.constants
-    g = float(model.ds_dx(x_now, x_prev)) + float(model.ds_dy(x_now, x_now))
-    x_next = x_now + (c.time_step / c.mass) * g
-    if not math.isfinite(x_next):
-        raise NumericalError(f"the closed-form step from x_prev={x_prev}, x_now={x_now} is not finite")
-    return x_next
+    kin, half, step = c.mass / c.time_step, 0.5 * c.time_step, c.time_step / c.mass
+    dv = model.potential.dv
+    dphi = model.phase.dphi if isinstance(model, GaugedAction) else None
+    track = [x_prev, x_now]
+    # Overflow is not reported as a warning: each root is checked below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_steps):
+            x = np.float64(x_now)
+            d = half * float(dv(x))
+            if dphi is None:
+                g = (kin * (x_now - x_prev) - d) + (-kin * (x_now - x_now) - d)
+            else:
+                p = float(dphi(x))
+                g = (kin * (x_now - x_prev) - d + p) + (-kin * (x_now - x_now) - d - p)
+            x_next = x_now + step * g
+            if not math.isfinite(x_next):
+                raise NumericalError(f"the closed-form step from x_prev={x_prev}, x_now={x_now} is not finite")
+            track.append(x_next)
+            x_prev, x_now = x_now, x_next
+    return track
 
 
 def _eom_step_1d(model, x_prev, x_now):
     if is_standard_family(model):
-        # Overflow is not reported as a warning: _linear_step checks its root.
+        xi = _family_track(model, x_prev, x_now, 1)[-1]
+        # An overflowing residual is not reported as a warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            xi = _linear_step(model, x_prev, x_now)
             residual = abs(float(float(model.ds_dx(x_now, x_prev)) + model.ds_dy(xi, x_now)))
         return EomResult(xi, TrajectoryStatus.COMPLETE, residual)
 
@@ -215,10 +231,7 @@ def integrate(model: ActionModel, x0, x_minus1, n_steps: int) -> ClassicalTrajec
     status = TrajectoryStatus.COMPLETE
     failure_step = None
     if is_standard_family(model):
-        # Overflow is not reported as a warning: _linear_step checks each root.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(n_steps):
-                track.append(_linear_step(model, track[-2], track[-1]))
+        track = _family_track(model, *track, n_steps)
     else:
         for n in range(1, n_steps + 1):
             result = eom_step(model, track[-2], track[-1])

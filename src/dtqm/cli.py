@@ -11,7 +11,6 @@ the wall-time field of the run report.
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 import time
@@ -100,6 +99,7 @@ def _cmd_evolve(cfg: dict, outdir: str, formats: set[str]) -> tuple[int, dict, l
         "final_x_mean": float(series.x_mean[-1]),
         "final_norm": float(series.norm[-1]),
         "packet_warnings": list(series.warnings),
+        "kernel": series.kernel,
     }
     failures = []
     if run["tracking_tolerance"] is not None:
@@ -189,12 +189,7 @@ def _cmd_build(cfg: dict, outdir: str, formats: set[str]) -> tuple[int, dict, li
         "unitarity_deviation": kernel.unitarity_deviation,
         "eig_magnitude_min": eig_min,
         "eig_magnitude_max": eig_max,
-        "kernel": {
-            "apply": kernel.apply_path,
-            "q": kernel.q,
-            "gcd_q_n": None if kernel.q is None else math.gcd(kernel.q, grid.n_total),
-            "eig_source": "eigvals" if magnitude is None else "gauss_sum",
-        },
+        "kernel": {**kernel.summary, "eig_source": "eigvals" if magnitude is None else "gauss_sum"},
     }
     if kernel.calibration is not None:
         results["calibration"] = kernel.calibration

@@ -53,7 +53,8 @@ class BoundaryError(RuntimeError):
 class EhrenfestSeries:
     """Per-step observables of an evolving packet, plus the classical track.
 
-    ``warnings`` carries the initial packet's quality flags (see make_gaussian).
+    ``warnings`` carries the initial packet's quality flags (see make_gaussian),
+    ``kernel`` the summary of the kernel that stepped it (PropagatorKernel.summary).
     """
 
     steps: np.ndarray
@@ -63,6 +64,7 @@ class EhrenfestSeries:
     norm: np.ndarray
     x_classical: np.ndarray
     p_classical: np.ndarray
+    kernel: dict
     warnings: tuple[str, ...] = ()
 
     def max_position_deviation(self) -> float:
@@ -144,6 +146,7 @@ def _packet_run(
         norm=norms,
         x_classical=x_classical,
         p_classical=p_classical,
+        kernel=kernel.summary,
         warnings=psi.warnings,
     )
 

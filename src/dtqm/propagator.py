@@ -99,6 +99,15 @@ class PropagatorKernel:
         return "chirped_dft" if self._factors[2] is None else "embedding_2n"
 
     @property
+    def summary(self) -> dict:
+        """The reports' ``kernel`` block: ``apply`` (see apply_path), ``q``, and ``gcd_q_n`` = gcd(q, N)."""
+        return {
+            "apply": self.apply_path,
+            "q": self.q,
+            "gcd_q_n": None if self.q is None else math.gcd(self.q, self.grid.n_total),
+        }
+
+    @property
     def gauss_sum_magnitude(self) -> float | None:
         """w |A| sqrt(N), every eigenvalue's magnitude, at tau* / q with gcd(q, N) = 1; else None.
 

@@ -4,11 +4,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtqm import (
     GaugedAction,
+    GaugePhase,
     NumericalError,
     PhysicalConstants,
+    Potential,
     QuarticAction,
     SineAction,
     StandardAction,
@@ -23,12 +27,14 @@ from dtqm import (
     invert_momentum,
     is_standard_family,
     leapfrog_reference,
+    linear_phase,
     magic_time_step,
     make_grid,
     momentum_from_pair,
     quadratic_phase,
     quartic_potential,
     zero_field,
+    zero_phase,
     zero_potential,
 )
 from dtqm.rootfind import newton_solve, scan_roots
@@ -408,3 +414,96 @@ def test_subclass_takes_the_scan_path_and_the_dense_kernel(monkeypatch):
     grid = make_grid(32, -4.0, 0.25)
     assert build_kernel(grid, StandardAction(c, pot))._factors is not None
     assert build_kernel(grid, ScanStandard(c, pot))._factors is None
+
+
+# --- the family loop against the model's own evaluators
+
+POTENTIALS = {
+    "zero": zero_potential(),
+    "harmonic": harmonic_potential(1.0, 1.0),
+    "quartic": quartic_potential(0.05),
+    "cosine_well": cosine_well_potential(6.0, 0.35),
+}
+PHASES = {"zero": zero_phase(), "linear": linear_phase(0.4), "quadratic": quadratic_phase(0.3)}
+
+
+def _family_runs():
+    c = PhysicalConstants(1.0, 0.1, HBAR)
+    for name, pot in POTENTIALS.items():
+        yield pytest.param(StandardAction(c, pot), 0.97, 200, id=f"standard-{name}")
+        for phase_name, phase in PHASES.items():
+            yield pytest.param(GaugedAction(c, pot, phase), 0.97, 200, id=f"gauged-{name}-{phase_name}")
+    # omega * tau = 2: the root leaves the scan's search region at the first step.
+    yield pytest.param(StandardAction(c, harmonic_potential(1.0, 20.0)), 1.0, 40, id="hand-over")
+
+
+def _evaluator_track(model, x0, x_minus1, n_steps):
+    """x_{n+1} = x_n + (tau/m)(dS(x_n, x_{n-1})/dx + dS(x_n, x_n)/dy), through the public evaluators."""
+    c = model.constants
+    xs = [x_minus1, x0]
+    for _ in range(n_steps):
+        x, y = xs[-1], xs[-2]
+        xs.append(x + (c.time_step / c.mass) * (float(model.ds_dx(x, y)) + float(model.ds_dy(x, x))))
+    return np.array(xs)
+
+
+@pytest.mark.parametrize("model, x_minus1, n_steps", _family_runs())
+def test_family_track_is_bit_identical_to_the_evaluators(model, x_minus1, n_steps):
+    expected = _evaluator_track(model, 1.0, x_minus1, n_steps)
+    trajectory = integrate(model, 1.0, x_minus1, n_steps)
+    assert trajectory.status is TrajectoryStatus.COMPLETE
+    assert np.array_equal(trajectory.positions, expected[1:])
+    for n in range(1, n_steps + 1):
+        assert eom_step(model, expected[n - 1], expected[n]).x_next == expected[n + 1]
+
+
+def test_family_integrate_calls_dv_once_per_step(monkeypatch):
+    import dtqm.classical
+    import dtqm.rootfind
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("root scan on the closed-form path")
+
+    monkeypatch.setattr(dtqm.rootfind, "scan_roots", forbidden)
+    monkeypatch.setattr(dtqm.classical, "scan_roots", forbidden)
+    calls = []
+
+    def spy(name, f):
+        def counted(x):
+            calls.append(name)
+            return f(x)
+
+        return counted
+
+    pot, phase = POTENTIALS["cosine_well"], PHASES["quadratic"]
+    pot = Potential(pot.name, pot.v, spy("dv", pot.dv))
+    phase = GaugePhase(phase.name, phase.phi, spy("dphi", phase.dphi))
+    c = PhysicalConstants(1.0, 0.1, HBAR)
+    n = 50
+    # One call per step, then one each for the momenta and residual broadcasts.
+    for model, dphi_calls in ((StandardAction(c, pot), 0), (GaugedAction(c, pot, phase), n + 2)):
+        calls.clear()
+        assert integrate(model, 1.0, 0.98, n).status is TrajectoryStatus.COMPLETE
+        assert calls.count("dv") == n + 2 and calls.count("dphi") == dphi_calls
+
+
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(
+    potential=st.sampled_from(sorted(POTENTIALS)),
+    phase=st.sampled_from([None, *sorted(PHASES)]),
+    tau=st.floats(0.01, 0.5),
+    # The bound is relative to the track. A step's absolute rounding does not
+    # shrink with it (|dphi| tau / m for a gauged step), so |x0| >= 0.1.
+    x0=st.floats(0.1, 2.0) | st.floats(-2.0, -0.1),
+    velocity=st.floats(-2.0, 2.0),
+    n_steps=st.integers(1, 200),
+)
+def test_family_integrate_matches_the_leapfrog_recursion(potential, phase, tau, x0, velocity, n_steps):
+    pot = POTENTIALS[potential]
+    c = PhysicalConstants(1.0, tau, HBAR)
+    model = StandardAction(c, pot) if phase is None else GaugedAction(c, pot, PHASES[phase])
+    x_minus1 = x0 - tau * velocity
+    trajectory = integrate(model, x0, x_minus1, n_steps)
+    assert trajectory.status is TrajectoryStatus.COMPLETE
+    expected = leapfrog_reference(pot.dv, 1.0, tau, x0, x_minus1, n_steps)
+    np.testing.assert_allclose(trajectory.positions, expected, rtol=0, atol=1e-12 * float(np.max(np.abs(expected))))

@@ -747,6 +747,24 @@ def test_build_of_a_family_subclass_calls_eigvals(tmp_path, monkeypatch):
     assert read_report(out)["results"]["kernel"] == _block("dense", None, "eigvals")
 
 
+@pytest.mark.parametrize(
+    "tau_share, kernel",
+    [
+        (1.0, {"apply": "chirped_dft", "q": 1, "gcd_q_n": 1}),
+        (0.5, {"apply": "chirped_dft", "q": 2, "gcd_q_n": 2}),  # gcd(2, 256) = 2
+        (0.93, {"apply": "embedding_2n", "q": None, "gcd_q_n": None}),
+    ],
+)
+def test_evolve_reports_its_kernel(tmp_path, tau_share, kernel):
+    out = str(tmp_path / "out")
+    payload = harmonic_evolve_config(out)
+    if tau_share != 1.0:
+        payload["constants"]["tau"] = tau_share * 0.0625 * 16.0 / (2.0 * math.pi)
+        del payload["run"]["tracking_tolerance"], payload["run"]["norm_tolerance"]
+    assert main(["evolve", "--config", write_config(tmp_path, "evolve.json", payload)]) == 0
+    assert read_report(out)["results"]["kernel"] == kernel
+
+
 def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
     import dtqm.cli
 
