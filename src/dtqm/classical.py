@@ -90,9 +90,8 @@ def momentum_from_pair(model: ActionModel, x_now, x_prev):
     return np.asarray(p, dtype=float)
 
 
-def _gradient_tolerance(model: ActionModel, *coords) -> float:
+def _gradient_tolerance(model: ActionModel, scale: float) -> float:
     c = model.constants
-    scale = max([1.0] + [float(np.max(np.abs(v))) for v in coords])
     return GRADIENT_TOL * (c.mass / c.time_step) * scale
 
 
@@ -140,33 +139,32 @@ def _eom_step_1d(model, x_prev, x_now):
             residual = abs(float(float(model.ds_dx(x_now, x_prev)) + model.ds_dy(xi, x_now)))
         return EomResult(xi, TrajectoryStatus.COMPLETE, residual)
 
-    incoming = float(model.ds_dx(x_now, x_prev))
-
     def g(xi):
         return incoming + model.ds_dy(xi, x_now)
 
     def dg(xi):
         return model.d2s_dxdy(xi, x_now)
 
-    gtol = _gradient_tolerance(model, x_now, x_prev)
+    gtol = _gradient_tolerance(model, max(1.0, abs(x_now), abs(x_prev)))
     radius = _default_radius(model, x_now, x_prev)
     lo, hi = x_now - radius, x_now + radius
     xtol = 1e-13 * max(1.0, abs(lo), abs(hi))
-    roots, xs, gs = scan_roots(g, dg, lo, hi, SCAN_SUBINTERVALS, gtol, xtol, 1e-9 * max(1.0, radius))
-
-    if not roots:
-        smallest = float(np.min(np.abs(gs)))
-        if smallest <= gtol:
-            xi = float(xs[int(np.argmin(np.abs(gs)))])
+    # Overflow is not reported as a warning: integrate checks the finished track.
+    with np.errstate(over="ignore", invalid="ignore"):
+        incoming = float(model.ds_dx(x_now, x_prev))
+        roots, xs, gs = scan_roots(g, dg, lo, hi, SCAN_SUBINTERVALS, gtol, xtol, 1e-9 * max(1.0, radius))
+        if not roots:
+            smallest = float(np.min(np.abs(gs)))
+            if smallest <= gtol:
+                xi = float(xs[int(np.argmin(np.abs(gs)))])
+                return EomResult(xi, TrajectoryStatus.COMPLETE, abs(float(g(xi))))
+            return EomResult(None, TrajectoryStatus.NO_SOLUTION, smallest)
+        free_prediction = 2.0 * x_now - x_prev
+        if len(roots) == 1:
+            xi = roots[0]
             return EomResult(xi, TrajectoryStatus.COMPLETE, abs(float(g(xi))))
-        return EomResult(None, TrajectoryStatus.NO_SOLUTION, smallest)
-
-    free_prediction = 2.0 * x_now - x_prev
-    if len(roots) == 1:
-        xi = roots[0]
-        return EomResult(xi, TrajectoryStatus.COMPLETE, abs(float(g(xi))))
-    xi = min(roots, key=lambda r: abs(r - free_prediction))
-    return EomResult(xi, TrajectoryStatus.NON_UNIQUE, abs(float(g(xi))))
+        xi = min(roots, key=lambda r: abs(r - free_prediction))
+        return EomResult(xi, TrajectoryStatus.NON_UNIQUE, abs(float(g(xi))))
 
 
 def _eom_step_2d(model, x_prev, x_now):
@@ -181,8 +179,8 @@ def _eom_step_2d(model, x_prev, x_now):
         # dg_a/dxi_b is the transposed mixed block of the action at (xi, x_now).
         return np.asarray(model.d2s_dxdy(xi, x_now), dtype=float).T
 
-    gtol = _gradient_tolerance(model, x_now, x_prev)
     scale = max(1.0, float(np.max(np.abs(x_now))), float(np.max(np.abs(x_prev))))
+    gtol = _gradient_tolerance(model, scale)
     xi, residual = newton_solve(g, jacobian, 2.0 * x_now - x_prev, gtol, MAX_NEWTON_2D, 1e8 * scale)
     if xi is None:
         return EomResult(None, TrajectoryStatus.NO_SOLUTION, residual)
@@ -219,7 +217,8 @@ def integrate(model: ActionModel, x0, x_minus1, n_steps: int) -> ClassicalTrajec
     non-unique step is resolved (closest to free motion), flagged, and
     integration continues. Steps of the exact standard/gauged family are
     taken in closed form, so they always complete. Momenta and residuals are
-    evaluated over the finished track; a non-finite one raises NumericalError.
+    evaluated over the finished track; a non-finite one, or a non-finite
+    residual of the step without a root, raises NumericalError.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be at least 1, got {n_steps}")
@@ -230,6 +229,7 @@ def integrate(model: ActionModel, x0, x_minus1, n_steps: int) -> ClassicalTrajec
         track = [np.asarray(x_minus1, dtype=float), np.asarray(x0, dtype=float)]
     status = TrajectoryStatus.COMPLETE
     failure_step = None
+    unsolved = 0.0  # the residual of a step without a root
     if is_standard_family(model):
         track = _family_track(model, *track, n_steps)
     else:
@@ -238,6 +238,7 @@ def integrate(model: ActionModel, x0, x_minus1, n_steps: int) -> ClassicalTrajec
             if result.status is TrajectoryStatus.NO_SOLUTION:
                 status = TrajectoryStatus.NO_SOLUTION
                 failure_step = n
+                unsolved = result.residual
                 break
             if result.status is TrajectoryStatus.NON_UNIQUE and status is TrajectoryStatus.COMPLETE:
                 status = TrajectoryStatus.NON_UNIQUE
@@ -251,7 +252,8 @@ def integrate(model: ActionModel, x0, x_minus1, n_steps: int) -> ClassicalTrajec
         balance = np.abs(momenta[:-1] + np.asarray(model.ds_dy(xs[2:], xs[1:-1]), dtype=float))
     if not one_d:
         balance = balance.max(axis=-1)
-    if not (np.all(np.isfinite(momenta)) and np.all(np.isfinite(balance))):
+    # A no_solution verdict never comes from a scan that is not finite.
+    if not (np.all(np.isfinite(momenta)) and np.all(np.isfinite(balance)) and math.isfinite(unsolved)):
         raise NumericalError("the momenta or residuals of the classical track are not finite")
     return ClassicalTrajectory(
         times=np.arange(len(xs) - 1),
@@ -300,9 +302,11 @@ def _invert_momentum_1d(model, x0: float, p0: float) -> float:
         return root
     radius = 10.0 * (abs(c.time_step * p0 / c.mass) + math.sqrt(c.hbar * c.time_step / c.mass))
     lo, hi = guess - radius, guess + radius
-    gtol = _gradient_tolerance(model, x0, p0 * c.time_step / c.mass)
+    gtol = _gradient_tolerance(model, max(1.0, abs(x0), abs(p0 * c.time_step / c.mass)))
     xtol = 1e-13 * max(1.0, abs(guess) + radius)
-    roots, _, _ = scan_roots(g, dg, lo, hi, SCAN_SUBINTERVALS, gtol, xtol, 0.0)
+    # Overflow is not reported as a warning: a root found lies inside a finite bracket.
+    with np.errstate(over="ignore", invalid="ignore"):
+        roots, _, _ = scan_roots(g, dg, lo, hi, SCAN_SUBINTERVALS, gtol, xtol, 0.0)
     if not roots:
         raise NumericalError(
             f"cannot invert the momentum map at x0={x0}, p0={p0}: no root in [{lo:.6g}, {hi:.6g}]"
@@ -321,7 +325,8 @@ def _invert_momentum_2d(model, x0, p0):
     def jacobian(xi):
         return np.asarray(model.d2s_dxdy(x0, xi), dtype=float)
 
-    gtol = _gradient_tolerance(model, x0, p0 * c.time_step / c.mass)
+    scale = max(1.0, float(np.max(np.abs(x0))), float(np.max(np.abs(p0 * c.time_step / c.mass))))
+    gtol = _gradient_tolerance(model, scale)
     xi, residual = newton_solve(g, jacobian, x0 - c.time_step * p0 / c.mass, gtol, MAX_NEWTON_2D)
     if xi is None:
         raise NumericalError(

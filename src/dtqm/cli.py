@@ -2,8 +2,9 @@
 
 Exit codes are a stable contract: 0 success/pass, 1 tolerance failure,
 2 configuration error, 3 numerical failure (solver, non-finite kernel
-phases, boundary safety, criterion sampling or linear algebra), 4 internal
-error (any other exception: a defect, reported as one line).
+phases, boundary safety, criterion sampling, linear algebra or float
+arithmetic), 4 internal error (any other exception: a defect, reported as
+one line).
 Identical configs reproduce byte-identical CSV and JSON outputs except for
 the wall-time field of the run report.
 """
@@ -252,7 +253,9 @@ def main(argv=None) -> int:
         _write_report(outdir, report)
     # LinAlgError is a ValueError, so it has to be caught first; nothing in
     # load_config does linear algebra, so it always comes from the numerics.
-    except (NumericalError, BoundaryError, CriterionError, np.linalg.LinAlgError) as exc:
+    # An ArithmeticError is a float overflow or division by zero in the
+    # numerics of inputs near the ends of double precision.
+    except (NumericalError, BoundaryError, CriterionError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, ValueError) as exc:

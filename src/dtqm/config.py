@@ -3,11 +3,15 @@
 One file describes one experiment: a grid block, a constants block, an
 action block, a command-specific run block, and an optional output block.
 The schema is closed: unknown keys anywhere are errors, so typos never run
-silently with defaults.
+silently with defaults. The tables below are the one source of its rules:
+the schema types of each key, the grid each command needs, the run block of
+each command, the action kinds and named built-ins, and the ordered list of
+rules across blocks.
 """
 
 import json
 import math
+from dataclasses import dataclass
 
 from .action import (
     GaugedAction,
@@ -39,268 +43,290 @@ class ConfigError(Exception):
     """Invalid or malformed experiment configuration."""
 
 
-_NUMBER = (int, float)
-# Schema types of a number that must be greater than zero, or at least zero.
-_POSITIVE = "positive number"
-_NON_NEGATIVE = "non-negative number"
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _require_mapping(value, where: str) -> dict:
+def _either(choices) -> str:
+    quoted = [f"'{choice}'" for choice in choices]
+    return " or ".join(quoted) if len(quoted) == 2 else ", ".join(quoted[:-1]) + ", or " + quoted[-1]
+
+
+# Schema types. Each one checks the value at ``where`` and returns it in the
+# form the commands read, or raises ConfigError.
+
+
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"'{where}' must be a string")
+    return value
+
+
+def _object(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"block '{where}' must be an object")
     return value
 
 
-def _check(block: dict, where: str, required: dict, optional: dict) -> dict:
-    """Validate key set and value types; fill defaults for optional keys."""
-    allowed = set(required) | set(optional)
-    for key in block:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{key}' in block '{where}'")
-    out = {}
-    for key, types in required.items():
-        if key not in block:
-            raise ConfigError(f"missing required key '{key}' in block '{where}'")
-        out[key] = _typed(block[key], types, f"{where}.{key}")
-    for key, (types, default) in optional.items():
-        if key in block:
-            out[key] = _typed(block[key], types, f"{where}.{key}")
-        else:
-            out[key] = default
-    return out
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"'{where}' must be a list")
+    return value
 
 
-def _typed(value, types, where: str):
-    if types is None:  # validated by the caller
+@dataclass(frozen=True)
+class _Number:
+    """A number, as a float; ``sign`` is None, 'positive' or 'non-negative'."""
+
+    sign: str | None = None
+
+    def __call__(self, value, where: str) -> float:
+        if not _is_number(value):
+            raise ConfigError(f"'{where}' must be a number")
+        value = float(value)
+        if self.sign and (value < 0 or (value == 0 and self.sign == "positive")):
+            raise ConfigError(f"'{where}' must be {self.sign}, got {value}")
         return value
-    if types is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"'{where}' must be a boolean")
-        return value
-    if types is int:
+
+
+_NUMBER = _Number()
+_POSITIVE = _Number("positive")
+_NON_NEGATIVE = _Number("non-negative")
+
+
+@dataclass(frozen=True)
+class _Integer:
+    minimum: int
+
+    def __call__(self, value, where: str) -> int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"'{where}' must be an integer")
+        if value < self.minimum:
+            least = "non-negative" if self.minimum == 0 else f"at least {self.minimum}"
+            raise ConfigError(f"'{where}' must be {least}, got {value}")
         return value
-    if types is float:
-        if isinstance(value, bool) or not isinstance(value, _NUMBER):
-            raise ConfigError(f"'{where}' must be a number")
-        return float(value)
-    if types is _POSITIVE:
-        value = _typed(value, float, where)
-        if value <= 0:
-            raise ConfigError(f"'{where}' must be positive, got {value}")
+
+
+@dataclass(frozen=True)
+class _Enum:
+    choices: tuple[str, ...]
+
+    def __call__(self, value, where: str) -> str:
+        if _string(value, where) not in self.choices:
+            raise ConfigError(f"'{where}' must be {_either(self.choices)}, got {value!r}")
         return value
-    if types is _NON_NEGATIVE:
-        value = _typed(value, float, where)
-        if value < 0:
-            raise ConfigError(f"'{where}' must be non-negative, got {value}")
+
+
+@dataclass(frozen=True)
+class _EnumList:
+    choices: tuple[str, ...]
+
+    def __call__(self, value, where: str) -> list:
+        for entry in _list(value, where):
+            if entry not in self.choices:
+                raise ConfigError(f"'{where}' entries must be {_either(self.choices)}, got {entry!r}")
         return value
-    if types is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"'{where}' must be a string")
+
+
+def _interval(value, where: str) -> list[float]:
+    """A [lo, hi] pair of numbers with lo < hi, as floats."""
+    if len(_list(value, where)) != 2 or not all(map(_is_number, value)):
+        raise ConfigError(f"'{where}' must be a [lo, hi] pair of numbers")
+    if not value[1] > value[0]:
+        raise ConfigError(f"'{where}' must satisfy lo < hi, got {value}")
+    return [float(value[0]), float(value[1])]
+
+
+@dataclass(frozen=True)
+class _Descending:
+    """A strictly descending list of at least ``min_length`` positive numbers, as floats."""
+
+    min_length: int
+
+    def __call__(self, value, where: str) -> list[float]:
+        if len(_list(value, where)) < self.min_length:
+            raise ConfigError(f"'{where}' needs at least {self.min_length} values, got {len(value)}")
+        if not all(_is_number(v) and v > 0 for v in value):
+            raise ConfigError(f"'{where}' must contain positive numbers")
+        if not all(b < a for a, b in zip(value, value[1:])):
+            raise ConfigError(f"'{where}' must be strictly descending")
+        return [float(v) for v in value]
+
+
+def _time_step(value, where: str):
+    """A positive number, or 'magic' for the exact-unitarity step of the grid."""
+    if value is None:  # an explicit null reads as a missing key
+        raise ConfigError("missing required key 'tau' in block 'constants'")
+    if isinstance(value, str):
+        if value != "magic":
+            raise ConfigError(f"'{where}' must be a positive number or 'magic', got {value!r}")
         return value
-    if types is list:
-        if not isinstance(value, list):
-            raise ConfigError(f"'{where}' must be a list")
-        return value
-    if types is dict:
-        return _require_mapping(value, where)
-    raise AssertionError(f"unhandled schema type {types}")
+    if not _is_number(value):
+        raise ConfigError(f"'{where}' must be a positive number or 'magic'")
+    if value <= 0:
+        raise ConfigError(f"'{where}' must be positive, got {value}")
+    return float(value)
+
+
+@dataclass(frozen=True)
+class _Named:
+    """A block {"name": <a key of ``registry``>, <that built-in's parameters>}."""
+
+    registry: dict
+
+    def __call__(self, value, where: str) -> dict:
+        name = _object(value, where).get("name")
+        if not isinstance(name, str) or name not in self.registry:
+            raise ConfigError(f"'{where}.name' must be one of {sorted(self.registry)}, got {name!r}")
+        return _check(value, where, {"name": _string}, self.registry[name][0])
+
+
+def _check(block, where: str, required: dict, optional: dict) -> dict:
+    """Check the key set and each value of a block; fill defaults for optional keys.
+
+    ``required`` maps a key to its schema type, ``optional`` to (type, default).
+    """
+    for key in _object(block, where):
+        if key not in required and key not in optional:
+            raise ConfigError(f"unknown key '{key}' in block '{where}'")
+    out = {}
+    for key, check in required.items():
+        if key not in block:
+            raise ConfigError(f"missing required key '{key}' in block '{where}'")
+        out[key] = check(block[key], f"{where}.{key}")
+    for key, (check, default) in optional.items():
+        out[key] = check(block[key], f"{where}.{key}") if key in block else default
+    return out
 
 
 # Named built-ins: name -> (parameter schema, factory(params, mass)).
 _POTENTIALS = {
     "zero": ({}, lambda p, mass: zero_potential()),
     "harmonic": ({"omega": (_POSITIVE, 1.0)}, lambda p, mass: harmonic_potential(mass, p["omega"])),
-    "quartic": ({"strength": (float, 1.0)}, lambda p, mass: quartic_potential(p["strength"])),
+    "quartic": ({"strength": (_NUMBER, 1.0)}, lambda p, mass: quartic_potential(p["strength"])),
     "cosine_well": (
-        {"depth": (float, 1.0), "wavenumber": (_POSITIVE, 1.0)},
+        {"depth": (_NUMBER, 1.0), "wavenumber": (_POSITIVE, 1.0)},
         lambda p, mass: cosine_well_potential(p["depth"], p["wavenumber"]),
     ),
 }
 
 _PHASES = {
     "zero": ({}, lambda p, mass: zero_phase()),
-    "linear": ({"slope": (float, 1.0)}, lambda p, mass: linear_phase(p["slope"])),
-    "quadratic": ({"curvature": (float, 1.0)}, lambda p, mass: quadratic_phase(p["curvature"])),
+    "linear": ({"slope": (_NUMBER, 1.0)}, lambda p, mass: linear_phase(p["slope"])),
+    "quadratic": ({"curvature": (_NUMBER, 1.0)}, lambda p, mass: quadratic_phase(p["curvature"])),
 }
 
 _FIELDS = {
     "zero": ({}, lambda p, mass: zero_field()),
-    "bilinear": ({"strength": (float, 1.0)}, lambda p, mass: bilinear_field(p["strength"])),
-    "sine": ({"strength": (float, 1.0)}, lambda p, mass: sine_field(p["strength"])),
+    "bilinear": ({"strength": (_NUMBER, 1.0)}, lambda p, mass: bilinear_field(p["strength"])),
+    "sine": ({"strength": (_NUMBER, 1.0)}, lambda p, mass: sine_field(p["strength"])),
 }
-
-# The registry each named sub-block of an action draws from.
-_NAMED_BLOCKS = {"potential": _POTENTIALS, "phase": _PHASES, "a1": _FIELDS, "a2": _FIELDS}
+_POTENTIAL, _PHASE, _FIELD = _Named(_POTENTIALS), _Named(_PHASES), _Named(_FIELDS)
 
 # Action kinds: kind -> (required keys besides 'kind', factory(constants, parts)).
 # ``parts`` is the validated action block with its named sub-blocks built.
 _ACTIONS = {
-    "standard": ({"potential": dict}, lambda c, a: StandardAction(c, a["potential"])),
-    "gauged": ({"potential": dict, "phase": dict}, lambda c, a: GaugedAction(c, a["potential"], a["phase"])),
-    "quartic": ({"potential": dict, "epsilon": float}, lambda c, a: QuarticAction(c, a["potential"], a["epsilon"])),
+    "standard": ({"potential": _POTENTIAL}, lambda c, a: StandardAction(c, a["potential"])),
+    "gauged": ({"potential": _POTENTIAL, "phase": _PHASE}, lambda c, a: GaugedAction(c, a["potential"], a["phase"])),
+    "quartic": (
+        {"potential": _POTENTIAL, "epsilon": _NUMBER},
+        lambda c, a: QuarticAction(c, a["potential"], a["epsilon"]),
+    ),
     "sine": ({"strength": _POSITIVE}, lambda c, a: SineAction(c, a["strength"])),
     "vector_potential_2d": (
-        {"potential": dict, "a1": dict, "a2": dict},
+        {"potential": _POTENTIAL, "a1": _FIELD, "a2": _FIELD},
         lambda c, a: VectorPotentialAction2D(c, a["potential"], a["a1"], a["a2"]),
     ),
 }
 
+_CONSTANTS = {"mass": _POSITIVE, "hbar": _POSITIVE, "tau": _time_step}
+_OUTPUT = {"directory": (_string, "dtqm-out"), "formats": (_EnumList(("csv", "json")), ("csv", "json"))}
 
-def _finite_number(text: str) -> float:
-    """JSON number hook: NaN, Infinity, -Infinity and overflowing literals are errors."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ConfigError(f"non-finite number {text} in config; numbers must be finite")
-    return value
+# The grid keys each command requires; None forbids the block. 'run',
+# 'constants' and 'action' are always required, 'output' always optional.
+_FULL_GRID = {"n_points": _Integer(4), "x_min": _NUMBER, "spacing": _POSITIVE}
+_GRID_USAGE = {
+    "check-action": None,
+    "evolve": _FULL_GRID,
+    "classical": None,
+    "sweep": {"n_points": _Integer(4)},  # the spacing is retuned per hbar
+    "build": _FULL_GRID,
+}
 
-
-def _named_block(block, where: str, registry: dict) -> dict:
-    block = _require_mapping(block, where)
-    name = block.get("name")
-    if not isinstance(name, str) or name not in registry:
-        raise ConfigError(f"'{where}.name' must be one of {sorted(registry)}, got {name!r}")
-    return _check(block, where, {"name": str}, registry[name][0])
-
-
-def _validate_action(block, where: str) -> dict:
-    block = _require_mapping(block, where)
-    kind = block.get("kind")
-    if not isinstance(kind, str) or kind not in _ACTIONS:
-        raise ConfigError(f"'{where}.kind' must be one of {list(_ACTIONS)}, got {kind!r}")
-    required = _ACTIONS[kind][0]
-    out = _check(block, where, {"kind": str} | required, {})
-    for key in required:
-        if key in _NAMED_BLOCKS:
-            out[key] = _named_block(block[key], f"{where}.{key}", _NAMED_BLOCKS[key])
-    return out
-
-
-def _validate_constants(block) -> dict:
-    block = _require_mapping(block, "constants")
-    out = _check(block, "constants", {"mass": _POSITIVE, "hbar": _POSITIVE}, {"tau": (None, None)})
-    tau = block.get("tau")
-    if tau is None:
-        raise ConfigError("missing required key 'tau' in block 'constants'")
-    if isinstance(tau, str):
-        if tau != "magic":
-            raise ConfigError(f"'constants.tau' must be a positive number or 'magic', got {tau!r}")
-        out["tau"] = "magic"
-    elif isinstance(tau, bool) or not isinstance(tau, _NUMBER):
-        raise ConfigError("'constants.tau' must be a positive number or 'magic'")
-    else:
-        if tau <= 0:
-            raise ConfigError(f"'constants.tau' must be positive, got {tau}")
-        out["tau"] = float(tau)
-    return out
-
-
+# The run block of each command: (required keys, optional keys with defaults).
+_AMPLITUDE_MODE = (_Enum(("analytic", "calibrated")), "analytic")
 _RUN_SCHEMAS = {
     "check-action": (
-        {"domain": list, "expect": str},
-        {
-            "n_samples": (int, 1024),
-            "tolerance": (_NON_NEGATIVE, 1e-8),
-        },
+        {"domain": _interval, "expect": _Enum(("admissible", "inadmissible"))},
+        {"n_samples": (_Integer(16), 1024), "tolerance": (_NON_NEGATIVE, 1e-8)},
     ),
     "evolve": (
-        {"x0": float, "p0": float, "n_steps": int},
+        {"x0": _NUMBER, "p0": _NUMBER, "n_steps": _Integer(0)},
         {
             "alpha": (_POSITIVE, 1.0),
-            "amplitude_mode": (str, "analytic"),
+            "amplitude_mode": _AMPLITUDE_MODE,
             "tracking_tolerance": (_NON_NEGATIVE, None),
             "norm_tolerance": (_NON_NEGATIVE, None),
         },
     ),
     "classical": (
-        {"x0": float, "n_steps": int},
+        {"x0": _NUMBER, "n_steps": _Integer(1)},
         {
-            "x_minus1": (float, None),
-            "p0": (float, None),
-            "expect_status": (str, "complete"),
+            "x_minus1": (_NUMBER, None),
+            "p0": (_NUMBER, None),
+            "expect_status": (_Enum(("complete", "no_solution", "non_unique")), "complete"),
         },
     ),
     "sweep": (
-        {"x0": float, "p0": float, "n_steps": int, "hbar_list": list},
+        {"x0": _NUMBER, "p0": _NUMBER, "n_steps": _Integer(1), "hbar_list": _Descending(3)},
         {"alpha": (_POSITIVE, 1.0)},
     ),
-    "build": (
-        {},
-        {
-            "amplitude_mode": (str, "analytic"),
-            "max_unitarity_deviation": (_NON_NEGATIVE, None),
-        },
-    ),
-}
-
-# Which top-level blocks each command accepts; 'run' / 'constants' / 'action'
-# are always required, 'output' always optional.
-_GRID_USAGE = {
-    "check-action": "forbidden",
-    "evolve": "full",
-    "classical": "forbidden",
-    "sweep": "n_points_only",
-    "build": "full",
+    "build": ({}, {"amplitude_mode": _AMPLITUDE_MODE, "max_unitarity_deviation": (_NON_NEGATIVE, None)}),
 }
 
 
-def _validate_grid(block, usage: str):
-    if usage == "full":
-        out = _check(_require_mapping(block, "grid"), "grid", {"n_points": int, "x_min": float, "spacing": _POSITIVE}, {})
-    elif usage == "n_points_only":
-        out = _check(_require_mapping(block, "grid"), "grid", {"n_points": int}, {})
-    else:
-        raise AssertionError(usage)
-    if out["n_points"] < 4:
-        raise ConfigError(f"'grid.n_points' must be at least 4, got {out['n_points']}")
-    return out
+def _magic_step(cfg: dict) -> float:
+    c = cfg["constants"]
+    return magic_time_step(build_grid(cfg), c["mass"], c["hbar"])
 
 
-def _validate_run(block, command: str) -> dict:
-    required, optional = _RUN_SCHEMAS[command]
-    out = _check(_require_mapping(block, "run"), "run", required, optional)
-    if command == "check-action":
-        domain = out["domain"]
-        if len(domain) != 2 or not all(isinstance(v, _NUMBER) and not isinstance(v, bool) for v in domain):
-            raise ConfigError("'run.domain' must be a [lo, hi] pair of numbers")
-        if not domain[1] > domain[0]:
-            raise ConfigError(f"'run.domain' must satisfy lo < hi, got {domain}")
-        out["domain"] = [float(domain[0]), float(domain[1])]
-        if out["expect"] not in ("admissible", "inadmissible"):
-            raise ConfigError(f"'run.expect' must be 'admissible' or 'inadmissible', got {out['expect']!r}")
-        if out["n_samples"] < 16:
-            raise ConfigError(f"'run.n_samples' must be at least 16, got {out['n_samples']}")
-    if command == "evolve":
-        if out["n_steps"] < 0:
-            raise ConfigError(f"'run.n_steps' must be non-negative, got {out['n_steps']}")
-        if out["amplitude_mode"] not in ("analytic", "calibrated"):
-            raise ConfigError(f"'run.amplitude_mode' must be 'analytic' or 'calibrated', got {out['amplitude_mode']!r}")
-    if command == "classical":
-        if out["n_steps"] < 1:
-            raise ConfigError(f"'run.n_steps' must be at least 1, got {out['n_steps']}")
-        have = [k for k in ("x_minus1", "p0") if out[k] is not None]
-        if len(have) != 1:
-            raise ConfigError("'run' must set exactly one of 'x_minus1' or 'p0'")
-        if out["expect_status"] not in ("complete", "no_solution", "non_unique"):
-            raise ConfigError(
-                f"'run.expect_status' must be 'complete', 'no_solution', or 'non_unique', got {out['expect_status']!r}"
-            )
-    if command == "sweep":
-        hl = out["hbar_list"]
-        if len(hl) < 3:
-            raise ConfigError(f"'run.hbar_list' needs at least 3 values, got {len(hl)}")
-        if not all(isinstance(v, _NUMBER) and not isinstance(v, bool) and v > 0 for v in hl):
-            raise ConfigError("'run.hbar_list' must contain positive numbers")
-        if not all(b < a for a, b in zip(hl, hl[1:])):
-            raise ConfigError("'run.hbar_list' must be strictly descending")
-        out["hbar_list"] = [float(v) for v in hl]
-        if out["n_steps"] < 1:
-            raise ConfigError(f"'run.n_steps' must be at least 1, got {out['n_steps']}")
-    if command == "build":
-        if out["amplitude_mode"] not in ("analytic", "calibrated"):
-            raise ConfigError(f"'run.amplitude_mode' must be 'analytic' or 'calibrated', got {out['amplitude_mode']!r}")
-    return out
+# Rules across keys and blocks, checked in order once every block is valid:
+# (predicate that flags a fault in the validated config, its message).
+_RULES = [
+    (lambda c: c["command"] == "classical" and (c["run"]["x_minus1"] is None) == (c["run"]["p0"] is None),
+     lambda c: "'run' must set exactly one of 'x_minus1' or 'p0'"),
+    (lambda c: c["command"] == "sweep" and c["constants"]["tau"] == "magic",
+     lambda c: "command 'sweep' needs a numeric 'constants.tau' (the grid is retuned per hbar)"),
+    (lambda c: c["constants"]["tau"] == "magic" and "grid" not in c,
+     lambda c: "'constants.tau' = 'magic' needs a grid block"),
+    # The step of a tiny or huge lattice can underflow to 0 or overflow.
+    (lambda c: c["constants"]["tau"] == "magic" and not 0.0 < _magic_step(c) < math.inf,
+     lambda c: f"'constants.tau' = 'magic' resolves to {_magic_step(c)}, not a positive finite time step"),
+    (lambda c: c["command"] != "check-action" and c["action"]["kind"] == "vector_potential_2d",
+     lambda c: f"command '{c['command']}' drives 1D actions only"),
+    (lambda c: c["run"].get("amplitude_mode") == "analytic" and c["action"]["kind"] not in ("standard", "gauged"),
+     lambda c: "analytic amplitude mode needs a standard or gauged action; use 'calibrated'"),
+    # build reads the dense matrix for its unitarity defect (and for eigvals off
+    # the Gauss-sum case); calibration always builds it.
+    (lambda c: (c["command"] == "build" or c["run"].get("amplitude_mode") == "calibrated")
+     and c["grid"]["n_points"] > MAX_POINTS_1D,
+     lambda c: f"dense 1D kernels are limited to {MAX_POINTS_1D} points, got {c['grid']['n_points']}"),
+]
+
+
+def _finite_number(text: str, kind=float):
+    """JSON number hook: NaN, Infinity, -Infinity and literals past the largest float are errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {text} in config; numbers must be finite")
+    return value if kind is float else kind(text)
+
+
+def _validate_action(block) -> dict:
+    kind = _object(block, "action").get("kind")
+    if not isinstance(kind, str) or kind not in _ACTIONS:
+        raise ConfigError(f"'action.kind' must be one of {list(_ACTIONS)}, got {kind!r}")
+    return _check(block, "action", {"kind": _string} | _ACTIONS[kind][0], {})
 
 
 def load_config(path: str, command: str) -> dict:
@@ -309,7 +335,12 @@ def load_config(path: str, command: str) -> dict:
         raise ConfigError(f"unknown command '{command}'")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
+            raw = json.load(
+                fh,
+                parse_float=_finite_number,
+                parse_int=lambda text: _finite_number(text, int),
+                parse_constant=_finite_number,
+            )
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -317,60 +348,28 @@ def load_config(path: str, command: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("top level of a config must be an object")
 
-    grid_usage = _GRID_USAGE[command]
-    expected = {"constants", "action", "run", "output"}
-    if grid_usage != "forbidden":
-        expected.add("grid")
+    grid = _GRID_USAGE[command]
     for key in raw:
-        if key not in expected:
-            if key == "grid":
-                raise ConfigError(f"block 'grid' is not used by command '{command}'")
+        if key not in ("grid", "constants", "action", "run", "output"):
             raise ConfigError(f"unknown key '{key}' at top level")
+        if key == "grid" and grid is None:
+            raise ConfigError(f"block 'grid' is not used by command '{command}'")
 
     cfg: dict = {"command": command, "raw": raw}
-    if grid_usage != "forbidden":
+    if grid is not None:
         if "grid" not in raw:
             raise ConfigError("missing required block 'grid'")
-        cfg["grid"] = _validate_grid(raw["grid"], grid_usage)
+        cfg["grid"] = _check(raw["grid"], "grid", grid, {})
     for block in ("constants", "action", "run"):
         if block not in raw:
             raise ConfigError(f"missing required block '{block}'")
-    cfg["constants"] = _validate_constants(raw["constants"])
-    cfg["action"] = _validate_action(raw["action"], "action")
-    cfg["run"] = _validate_run(raw["run"], command)
-    cfg["output"] = _check(
-        _require_mapping(raw.get("output", {}), "output"),
-        "output",
-        {},
-        {"directory": (str, "dtqm-out"), "formats": (list, ["csv", "json"])},
-    )
-    for fmt in cfg["output"]["formats"]:
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"'output.formats' entries must be 'csv' or 'json', got {fmt!r}")
-
-    if command == "sweep" and cfg["constants"]["tau"] == "magic":
-        raise ConfigError("command 'sweep' needs a numeric 'constants.tau' (the grid is retuned per hbar)")
-    if cfg["constants"]["tau"] == "magic":
-        if grid_usage == "forbidden":
-            raise ConfigError("'constants.tau' = 'magic' needs a grid block")
-        # The step of a tiny or huge lattice can underflow to 0 or overflow.
-        c = cfg["constants"]
-        tau = magic_time_step(build_grid(cfg), c["mass"], c["hbar"])
-        if not (math.isfinite(tau) and tau > 0):
-            raise ConfigError(f"'constants.tau' = 'magic' resolves to {tau}, not a positive finite time step")
-    if command != "check-action" and cfg["action"]["kind"] == "vector_potential_2d":
-        raise ConfigError(f"command '{command}' drives 1D actions only")
-    if (
-        command in ("evolve", "build")
-        and cfg["run"]["amplitude_mode"] == "analytic"
-        and cfg["action"]["kind"] not in ("standard", "gauged")
-    ):
-        raise ConfigError("analytic amplitude mode needs a standard or gauged action; use 'calibrated'")
-    # build reads the dense matrix for its unitarity defect (and for eigvals off
-    # the Gauss-sum case); calibration always builds it.
-    dense = command == "build" or (command == "evolve" and cfg["run"]["amplitude_mode"] == "calibrated")
-    if dense and cfg["grid"]["n_points"] > MAX_POINTS_1D:
-        raise ConfigError(f"dense 1D kernels are limited to {MAX_POINTS_1D} points, got {cfg['grid']['n_points']}")
+    cfg["constants"] = _check(raw["constants"], "constants", _CONSTANTS, {})
+    cfg["action"] = _validate_action(raw["action"])
+    cfg["run"] = _check(raw["run"], "run", *_RUN_SCHEMAS[command])
+    cfg["output"] = _check(raw.get("output", {}), "output", {}, _OUTPUT)
+    for broken, message in _RULES:
+        if broken(cfg):
+            raise ConfigError(message(cfg))
     return cfg
 
 
@@ -393,8 +392,8 @@ def build_action(cfg: dict, constants: PhysicalConstants):
     a = cfg["action"]
     required, make_action = _ACTIONS[a["kind"]]
     parts = dict(a)
-    for key in required:
-        if key in _NAMED_BLOCKS:
-            _, make_part = _NAMED_BLOCKS[key][a[key]["name"]]
+    for key, check in required.items():
+        if isinstance(check, _Named):
+            _, make_part = check.registry[a[key]["name"]]
             parts[key] = make_part(a[key], constants.mass)
     return make_action(constants, parts)

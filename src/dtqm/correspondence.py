@@ -113,14 +113,15 @@ def _packet_run(
         raise BoundaryError(n, f"{BOUNDARY_SIGMAS:.0f}-sigma envelope reaches the box edge at step {n}")
 
     kernel = build_kernel(grid, model, amplitude_mode)
-    psi = make_gaussian(grid, x0, p0, alpha, hbar)
     n_record = len(x_classical)
     row_bytes = grid.n_total * np.dtype(complex).itemsize
     n_rows = max(1, min(BLOCK_ROWS, BLOCK_BYTES // row_bytes, n_record))
     block = np.empty((n_rows, grid.n_total), dtype=complex)
     pieces = []
-    # Overflow is not reported as a warning: every row's norm is checked below.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Overflow is not reported as a warning: every row's norm is checked below,
+    # the initial packet's too (a width that underflows divides by zero).
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        psi = make_gaussian(grid, x0, p0, alpha, hbar)
         for start in range(0, n_record, len(block)):
             # A block after the first follows a full one: its first state is
             # the next step from that block's last row.

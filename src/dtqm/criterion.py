@@ -24,7 +24,8 @@ DEFAULT_TOLERANCE = 1e-8
 
 
 class CriterionError(RuntimeError):
-    """Action evaluator failed during sampling; message carries the coordinates."""
+    """Sampling failed: an action evaluator raised (the message carries the
+    coordinates), or the sample points or determinants are not finite."""
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,8 @@ def _sample_pairs(dimension: int, domain, n_samples: int):
     n_axes = 2 * dimension
     per_axis = max(2, math.ceil(n_samples ** (1.0 / n_axes)))
     t = _midpoints(lo, hi, per_axis)
+    if not np.all(np.isfinite(t)):
+        raise CriterionError(f"the sample points of the domain [{lo}, {hi}] are not finite")
     mesh = np.meshgrid(*([t] * n_axes), indexing="ij")
     cols = np.stack([m.ravel() for m in mesh], axis=-1)  # (S, 2 * dim)
     if dimension == 1:
@@ -100,23 +103,28 @@ def check_criterion(
     """
     if n_samples < 16:
         raise ValueError(f"n_samples must be at least 16, got {n_samples}")
-    xs, ys = _sample_pairs(model.dimension, domain, n_samples)
-    try:
-        mixed = np.asarray(model.d2s_dxdy(xs, ys), dtype=float)
-    except Exception as exc:
-        _locate_failure(model, xs, ys, exc)
-        raise  # unreachable; _locate_failure always raises
-    trace = None
-    if model.dimension == 1:
-        dets = mixed
-    else:
-        dets = mixed[..., 0, 0] * mixed[..., 1, 1] - mixed[..., 0, 1] * mixed[..., 1, 0]
-        kinetic = model.dimension * model.constants.mass / model.constants.time_step
-        trace = float(np.max(np.abs(mixed[..., 0, 0] + mixed[..., 1, 1] + kinetic)))
-    det_min = float(dets.min())
-    det_max = float(dets.max())
-    det_mean = float(dets.mean())
+    # Overflow is not reported as a warning: the samples and the summary are checked.
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs, ys = _sample_pairs(model.dimension, domain, n_samples)
+        try:
+            mixed = np.asarray(model.d2s_dxdy(xs, ys), dtype=float)
+        except Exception as exc:
+            _locate_failure(model, xs, ys, exc)
+            raise  # unreachable; _locate_failure always raises
+        trace = None
+        if model.dimension == 1:
+            dets = mixed
+        else:
+            dets = mixed[..., 0, 0] * mixed[..., 1, 1] - mixed[..., 0, 1] * mixed[..., 1, 0]
+            kinetic = model.dimension * model.constants.mass / model.constants.time_step
+            trace = float(np.max(np.abs(mixed[..., 0, 0] + mixed[..., 1, 1] + kinetic)))
+        det_min = float(dets.min())
+        det_max = float(dets.max())
+        det_mean = float(dets.mean())
     spread = det_max - det_min
+    # A verdict never comes from a determinant that is not finite.
+    if not all(map(math.isfinite, (det_min, det_max, det_mean, spread))):
+        raise CriterionError(f"det(d2S/dxdy) is not finite over the domain {tuple(domain)}")
     if abs(det_mean) < DEGENERATE_MEAN:
         relative_spread = spread
     else:

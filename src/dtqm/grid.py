@@ -66,7 +66,10 @@ class SpatialGrid:
         return float(np.prod(self.spacing))
 
     def axis_points(self, axis: int = 0) -> np.ndarray:
-        return self.x_min[axis] + self.spacing[axis] * np.arange(self.shape[axis])
+        # A lattice past the largest float has non-finite points. That is not
+        # reported as a warning: kernels and packets built on it check them.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.x_min[axis] + self.spacing[axis] * np.arange(self.shape[axis])
 
     @cached_property
     def coordinates(self) -> np.ndarray:

@@ -80,7 +80,8 @@ class PropagatorKernel:
             # A named array, as in build_kernel: numpy would otherwise reuse the
             # temporary in place, and that loop rounds differently in the last bit.
             phases = _finite(_phase_matrix(self.grid, self.model))
-            matrix = self.grid.weight * self.amplitude * phases
+            with np.errstate(over="ignore", invalid="ignore"):  # as in build_kernel
+                matrix = self.grid.weight * self.amplitude * phases
             matrix.flags.writeable = False
             self._matrix = matrix
         return self._matrix
@@ -302,7 +303,10 @@ def build_kernel(grid: SpatialGrid, model: ActionModel, amplitude_mode: str = "a
         raise ValueError(f"unknown amplitude mode '{amplitude_mode}'")
     amplitude = complex(amplitude)
     factors, q = _kernel_factors(grid, model, amplitude) if is_standard_family(model) else (None, None)
-    matrix = None if phases is None else grid.weight * amplitude * phases
+    # Overflow of the weight times the amplitude is not reported as a warning:
+    # eigvals and the packet checks refuse a non-finite matrix.
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = None if phases is None else grid.weight * amplitude * phases
     return PropagatorKernel(grid, model, amplitude, factors, matrix, calibration, q)
 
 

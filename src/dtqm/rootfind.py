@@ -13,8 +13,9 @@ def bracketed_newton(g, dg, lo, hi, g_lo, g_hi, gtol, xtol=0.0, max_iter=80):
     ``g_lo`` and ``g_hi`` are the already-computed endpoint values and must
     differ in sign (zero endpoints are returned immediately). Newton steps
     are taken only while they stay inside the current bracket and shrink it
-    fast enough; otherwise the interval is bisected. Returns ``(x, g(x))``;
-    the caller decides whether the final residual is acceptable.
+    fast enough; otherwise the interval is bisected. ``dg`` is called once
+    per step taken, never at the point returned. Returns ``(x, g(x))``; the
+    caller decides whether the final residual is acceptable.
     """
     if g_lo == 0.0:
         return lo, 0.0
@@ -32,10 +33,10 @@ def bracketed_newton(g, dg, lo, hi, g_lo, g_hi, gtol, xtol=0.0, max_iter=80):
     dxold = abs(hi - lo)
     dx = dxold
     gx = g(x)
-    dgx = dg(x)
     for _ in range(max_iter):
         if abs(gx) <= gtol:
             return x, gx
+        dgx = dg(x)
         newton_leaves = ((x - xh) * dgx - gx) * ((x - xl) * dgx - gx) > 0.0
         too_slow = abs(2.0 * gx) > abs(dxold * dgx)
         if newton_leaves or too_slow or dgx == 0.0:
@@ -50,7 +51,6 @@ def bracketed_newton(g, dg, lo, hi, g_lo, g_hi, gtol, xtol=0.0, max_iter=80):
             return x, gx
         x = xnew
         gx = g(x)
-        dgx = dg(x)
         if gx < 0.0:
             xl = x
         else:
@@ -66,9 +66,10 @@ def scan_roots(g, dg, lo, hi, n_scan, gtol, xtol, merge_tol):
     ``g`` and ``dg`` must broadcast over arrays: the ``n_scan + 1`` scan
     values come from one call ``g(xs)`` and only choose the brackets. A scan
     point where g is exactly zero is a root; every other sign change is
-    refined by ``bracketed_newton`` on scalar calls. Sorted roots within
-    ``merge_tol`` of the last kept one are merged into it (0 merges only
-    exact duplicates). Returns ``(roots, xs, gs)``: the merged roots in
+    refined by ``bracketed_newton`` on scalar calls. Signs are compared, not
+    multiplied, so scan values of any magnitude bracket a root. Sorted roots
+    within ``merge_tol`` of the last kept one are merged into it (0 merges
+    only exact duplicates). Returns ``(roots, xs, gs)``: the merged roots in
     ascending order, the scan points and the scan values.
     """
     xs = np.linspace(lo, hi, n_scan + 1)
@@ -81,7 +82,8 @@ def scan_roots(g, dg, lo, hi, n_scan, gtol, xtol, merge_tol):
         return float(dg(x))
 
     roots = [float(x) for x in xs[gs == 0.0]]
-    for i in np.flatnonzero(gs[:-1] * gs[1:] < 0.0):
+    signs = np.sign(gs)
+    for i in np.flatnonzero(signs[:-1] * signs[1:] < 0.0):
         root, _ = bracketed_newton(
             g_scalar, dg_scalar, float(xs[i]), float(xs[i + 1]), float(gs[i]), float(gs[i + 1]), gtol, xtol
         )

@@ -37,7 +37,7 @@ from dtqm import (
     zero_phase,
     zero_potential,
 )
-from dtqm.rootfind import newton_solve, scan_roots
+from dtqm.rootfind import bracketed_newton, newton_solve, scan_roots
 
 HBAR = 1.0
 
@@ -262,6 +262,32 @@ def test_scan_roots_merges_refinements_within_merge_tol():
     assert separate == pytest.approx([a, b], abs=1e-15)
     merged, _, _ = scan_roots(g, dg, 0.0, 1.0, 4, 0.0, 0.0, 1e-8)
     assert merged == separate[:1]
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200], ids=["products_underflow", "products_overflow"])
+def test_scan_roots_compares_signs_at_any_magnitude(scale):
+    # The product of two adjacent scan values rounds to -0.0 or overflows to -inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots, _, _ = scan_roots(lambda x: scale * (x - 0.3), lambda x: scale, 0.0, 1.0, 64, 0.0, 1e-15, 0.0)
+    assert roots == [pytest.approx(0.3, abs=1e-15)]
+
+
+def test_bracketed_newton_calls_dg_once_per_step():
+    calls = {"g": 0, "dg": 0}
+
+    def g(x):
+        calls["g"] += 1
+        return x**3 - 2.0
+
+    def dg(x):
+        calls["dg"] += 1
+        return 3.0 * x * x
+
+    x, gx = bracketed_newton(g, dg, 0.0, 2.0, -2.0, 6.0, 1e-12)
+    assert x == pytest.approx(2.0 ** (1 / 3), abs=1e-12) and abs(gx) <= 1e-12
+    # g at the midpoint and after each of the five steps; no dg at the root returned.
+    assert calls == {"g": 6, "dg": 5}
 
 
 def test_scan_roots_without_sign_change_is_empty():
