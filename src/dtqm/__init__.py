@@ -47,16 +47,11 @@ from .grid import (
     SpatialGrid,
     WaveState,
     apply_gauge_phase,
-    expect_p,
-    expect_x,
-    inner,
     make_gaussian,
     make_grid,
     make_grid_2d,
     momentum_matrix,
-    norm,
     packet_observables,
-    position_spread,
 )
 from .potentials import (
     GaugeField2D,

@@ -118,8 +118,9 @@ def _packet_run(
     n_rows = max(1, min(BLOCK_ROWS, BLOCK_BYTES // row_bytes, n_record))
     block = np.empty((n_rows, grid.n_total), dtype=complex)
     pieces = []
-    # Overflow is not reported as a warning: every row's norm is checked below,
-    # the initial packet's too (a width that underflows divides by zero).
+    # Overflow is not reported as a warning: make_gaussian checks the initial
+    # packet's norm (a width that underflows divides by zero), and every row's
+    # norm is checked below.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         psi = make_gaussian(grid, x0, p0, alpha, hbar)
         for start in range(0, n_record, len(block)):
@@ -252,10 +253,10 @@ def hbar_sweep(
     packet_warnings: dict[float, tuple[str, ...]] = {}
     finest = None
     for h, model in zip(hbars, models):
-        grid = _sweep_grid(h, mass, tau, n_points, center)
         try:
+            grid = _sweep_grid(h, mass, tau, n_points, center)
             finest = _packet_run(model, grid, x0, p0, alpha, track, "analytic")
-        except (BoundaryError, NumericalError, ValueError) as exc:
+        except (BoundaryError, NumericalError, ValueError, ArithmeticError) as exc:
             errors[h] = f"{type(exc).__name__}: {exc}"
             deviations.append(float("nan"))
         else:

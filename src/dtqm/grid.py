@@ -1,8 +1,10 @@
-"""Uniform periodic position lattices, wavefunctions, and lattice observables.
+"""Uniform periodic position lattices, wavefunctions, and the packet observables.
 
-All integrals over position are realized as rectangle-rule sums with the
-cell weight prod(spacing); the lattice is periodic, so the extent of an
-axis counts the wrap interval (L = n * dx, not (n-1) * dx).
+A lattice has one or two axes; Gaussian packets, gauge phases, the momentum
+matrix and the observables are one-dimensional. All integrals over position
+are realized as rectangle-rule sums with the cell weight prod(spacing); the
+lattice is periodic, so the extent of an axis counts the wrap interval
+(L = n * dx, not (n-1) * dx).
 """
 
 import math
@@ -16,21 +18,11 @@ __all__ = [
     "WaveState",
     "make_grid",
     "make_grid_2d",
-    "inner",
-    "norm",
-    "expect_x",
-    "expect_p",
-    "position_spread",
     "packet_observables",
     "make_gaussian",
     "apply_gauge_phase",
     "momentum_matrix",
 ]
-
-# Construction-time accuracy for states labeled "normalized".
-NORMALIZED_TOL = 1e-12
-# Run-time drift allowed before expectation values refuse the input.
-NORM_PRECONDITION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -129,76 +121,17 @@ class WaveState:
         object.__setattr__(self, "amplitudes", amps)
 
 
-def _require_same_grid(a: WaveState, b: WaveState) -> None:
-    if a.grid != b.grid:
-        raise ValueError("wave states live on different grids")
-
-
-def inner(a: WaveState, b: WaveState) -> complex:
-    """Quadrature inner product <a|b>; conjugates the first argument."""
-    _require_same_grid(a, b)
-    return complex(a.grid.weight * np.vdot(a.amplitudes, b.amplitudes))
-
-
-def norm(psi: WaveState) -> float:
-    return math.sqrt(inner(psi, psi).real)
-
-
-def _require_normalized(psi: WaveState, tol: float = NORM_PRECONDITION_TOL) -> None:
-    n = norm(psi)
-    if abs(n - 1.0) > tol:
-        raise ValueError(f"state is not normalized: |norm - 1| = {abs(n - 1.0):.3e} > {tol:.0e}")
-
-
-def expect_x(psi: WaveState) -> np.ndarray:
-    """Mean position, one entry per axis."""
-    _require_normalized(psi)
-    dens = psi.grid.weight * np.abs(psi.amplitudes) ** 2
-    return psi.grid.coordinates.T @ dens
-
-
-def _shift_difference(psi: WaveState, axis: int) -> np.ndarray:
-    """Central difference with periodic wraparound, flattened."""
-    arr = psi.amplitudes.reshape(psi.grid.shape)
-    d = (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2.0 * psi.grid.spacing[axis])
-    return d.ravel()
-
-
-def expect_p(psi: WaveState, hbar: float = 1.0) -> np.ndarray:
-    """Mean momentum per axis, from the central-difference translation generator.
-
-    The operator is Hermitian by construction, so the result is real up to
-    roundoff; only the real part is returned. Meaningful for states that are
-    normalized and localized away from the wrap seam (documented contract,
-    not enforced).
-    """
-    w = psi.grid.weight
-    out = []
-    for axis in range(psi.grid.dimension):
-        dpsi = -1j * hbar * _shift_difference(psi, axis)
-        out.append((w * np.vdot(psi.amplitudes, dpsi)).real)
-    return np.array(out)
-
-
-def position_spread(psi: WaveState) -> np.ndarray:
-    """Standard deviation of position per axis."""
-    _require_normalized(psi)
-    dens = psi.grid.weight * np.abs(psi.amplitudes) ** 2
-    mean = psi.grid.coordinates.T @ dens
-    second = (psi.grid.coordinates**2).T @ dens
-    return np.sqrt(np.maximum(second - mean**2, 0.0))
-
-
 def packet_observables(block: np.ndarray, grid: SpatialGrid, hbar: float):
     """Mean position and momentum, position spread and norm of each row of a 1D block.
 
-    Each row holds the raw amplitudes of one state. The means are divided by
-    the row's squared norm, so a series stays meaningful when a non-magic
-    time step lets the norm drift. The momentum is expect_p's central
-    difference in the form w (hbar / dx) Im sum_j conj(a_j) a_{j+1}, with
-    periodic wraparound. Returns four arrays: (x_mean, p_mean, x_spread, norm).
-    The axis comes from the grid's cached coordinates, so a run that reduces
-    one row per call does not rebuild it each time.
+    This is the lattice's one observables path. Each row holds the raw
+    amplitudes of one state. The means are divided by the row's squared
+    norm, so a series stays meaningful when a non-magic time step lets the
+    norm drift. The momentum is the expectation of momentum_matrix, in the
+    form w (hbar / dx) Im sum_j conj(a_j) a_{j+1}, with periodic wraparound.
+    Returns four arrays: (x_mean, p_mean, x_spread, norm). The axis comes
+    from the grid's cached coordinates, so a run that reduces one row per
+    call does not rebuild it each time.
 
     Every reduction runs row by row (a sum or a vecdot), never as one matrix
     product over the block, so a row's values do not depend on how many rows
@@ -217,69 +150,50 @@ def packet_observables(block: np.ndarray, grid: SpatialGrid, hbar: float):
     return x_mean, p_mean, np.sqrt(np.maximum(x_sq - x_mean * x_mean, 0.0)), np.sqrt(nsq)
 
 
-def _per_axis(value, dim: int) -> np.ndarray:
-    return np.broadcast_to(np.asarray(value, dtype=float), (dim,))
+def make_gaussian(grid: SpatialGrid, x0: float, p0: float, alpha: float, hbar: float) -> WaveState:
+    """Minimum-uncertainty Gaussian packet on a 1D grid, numerically normalized to 1.
 
-
-def make_gaussian(grid: SpatialGrid, x0, p0, alpha, hbar: float) -> WaveState:
-    """Minimum-uncertainty Gaussian packet, numerically normalized to 1.
-
-    Parameters
-    ----------
-    grid : SpatialGrid
-    x0, p0 : float or pair
-        Mean position and momentum per axis.
-    alpha : float or pair
-        Width parameter; the position spread per axis is alpha * sqrt(hbar / 2)
-        and the momentum spread is sqrt(hbar / 2) / alpha.
-    hbar : float
-
-    Packets too narrow for the lattice (sigma < 2 dx) or too wide for the box
-    (sigma > L / 8) are still built but flagged through ``WaveState.warnings``.
+    The position spread is alpha * sqrt(hbar / 2) and the momentum spread
+    sqrt(hbar / 2) / alpha. Packets too narrow for the lattice (sigma < 2 dx)
+    or too wide for the box (sigma > L / 8) are still built but flagged
+    through ``WaveState.warnings``. A packet whose squared norm is zero or
+    not finite (a width that underflows, say) raises FloatingPointError.
     """
     if not hbar > 0:
         raise ValueError(f"hbar must be positive, got {hbar}")
-    dim = grid.dimension
-    x0v = _per_axis(x0, dim)
-    p0v = _per_axis(p0, dim)
-    alphav = _per_axis(alpha, dim)
-    if np.any(alphav <= 0):
+    if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
+    if grid.dimension != 1:
+        raise ValueError("Gaussian packets are one-dimensional")
 
-    pts = grid.coordinates
-    log_env = np.zeros(grid.n_total)
-    phase = np.zeros(grid.n_total)
+    xs = grid.coordinates[:, 0]
+    dx = grid.spacing[0]
+    sigma = alpha * math.sqrt(hbar / 2.0)
     flags: list[str] = []
-    for a in range(dim):
-        sigma = alphav[a] * math.sqrt(hbar / 2.0)
-        if sigma < 2.0 * grid.spacing[a]:
-            flags.append(
-                f"axis {a}: width {sigma:.4g} below resolvable limit {2.0 * grid.spacing[a]:.4g}"
-            )
-        if sigma > grid.extent[a] / 8.0:
-            flags.append(
-                f"axis {a}: width {sigma:.4g} above boundary-safe limit {grid.extent[a] / 8.0:.4g}"
-            )
-        d = pts[:, a] - x0v[a]
-        log_env -= d * d / (4.0 * sigma * sigma)
-        phase += p0v[a] * pts[:, a] / hbar
-    amps = np.exp(log_env + 1j * phase)
-    amps /= math.sqrt(grid.weight * float(np.sum(np.abs(amps) ** 2)))
+    if sigma < 2.0 * dx:
+        flags.append(f"axis 0: width {sigma:.4g} below resolvable limit {2.0 * dx:.4g}")
+    if sigma > grid.extent[0] / 8.0:
+        flags.append(f"axis 0: width {sigma:.4g} above boundary-safe limit {grid.extent[0] / 8.0:.4g}")
+    d = xs - x0
+    amps = np.exp(-(d * d / (4.0 * sigma * sigma)) + 1j * (p0 * xs / hbar))
+    norm_sq = grid.weight * float(np.sum(np.abs(amps) ** 2))
+    if not 0.0 < norm_sq < math.inf:
+        raise FloatingPointError(f"Gaussian packet cannot be normalized: squared norm {norm_sq!r}")
+    amps /= math.sqrt(norm_sq)
     return WaveState(grid, amps, tuple(flags))
 
 
 def apply_gauge_phase(psi: WaveState, phi, hbar: float) -> WaveState:
-    """Multiply by exp(-i phi(x) / hbar) pointwise; preserves every |psi_j|.
+    """Multiply a 1D state by exp(-i phi(x) / hbar) pointwise; preserves every |psi_j|.
 
-    ``phi`` is either a callable evaluated on the lattice points (1D arrays
-    for 1D grids, (n, 2) rows for 2D grids) or an array of per-point values.
+    ``phi`` is either a callable evaluated on the lattice points or an array
+    of per-point values.
     """
     if not hbar > 0:
         raise ValueError(f"hbar must be positive, got {hbar}")
     grid = psi.grid
     if callable(phi):
-        arg = grid.coordinates[:, 0] if grid.dimension == 1 else grid.coordinates
-        values = np.asarray(phi(arg), dtype=float)
+        values = np.asarray(phi(grid.coordinates[:, 0]), dtype=float)
         values = np.broadcast_to(values, (grid.n_total,))
     else:
         values = np.asarray(phi, dtype=float)
@@ -290,20 +204,16 @@ def apply_gauge_phase(psi: WaveState, phi, hbar: float) -> WaveState:
     return WaveState(grid, psi.amplitudes * np.exp(-1j * values / hbar), psi.warnings)
 
 
-def momentum_matrix(grid: SpatialGrid, hbar: float, axis: int = 0) -> np.ndarray:
-    """Dense central-difference momentum matrix with periodic wraparound.
+def momentum_matrix(grid: SpatialGrid, hbar: float) -> np.ndarray:
+    """Dense central-difference momentum matrix of a 1D grid, with periodic wraparound.
 
     Exactly Hermitian: the only nonzero entries are -i hbar / (2 dx) one step
     above the diagonal and its conjugate one step below (cyclically).
     """
-    n = grid.shape[axis]
+    n = grid.shape[0]
     p = np.zeros((n, n), dtype=complex)
-    coeff = -1j * hbar / (2.0 * grid.spacing[axis])
+    coeff = -1j * hbar / (2.0 * grid.spacing[0])
     idx = np.arange(n)
     p[idx, (idx + 1) % n] = coeff
     p[idx, (idx - 1) % n] = -coeff
-    if grid.dimension == 1:
-        return p
-    if axis == 0:
-        return np.kron(p, np.eye(grid.shape[1]))
-    return np.kron(np.eye(grid.shape[0]), p)
+    return p

@@ -284,6 +284,17 @@ def test_sweep_monotone_pass(tmp_path):
     assert os.path.exists(os.path.join(out, "sweep_finest.csv"))
 
 
+def test_sweep_spacing_underflow_is_a_per_hbar_failure(tmp_path, capsys):
+    # The retuned spacing for hbar = 5e-324 underflows to 0: that run fails, the others report.
+    out = str(tmp_path / "out")
+    cfg = write_config(tmp_path, "sweep.json", sweep_config(out, [1.0, 0.5, 5e-324]))
+    assert main(["sweep", "--config", cfg]) == 1
+    sweep = read_report(out)["results"]["sweep"]
+    assert sweep["errors"] == {"5e-324": "ValueError: spacing must be positive, got 0.0"}
+    assert all(math.isfinite(d) for d in sweep["max_deviation"][:2])
+    assert capsys.readouterr().err.startswith("FAIL: hbar=5e-324: ValueError: spacing must be positive")
+
+
 def test_sweep_short_hbar_list_is_config_error(tmp_path):
     cfg = write_config(tmp_path, "sweep2.json", sweep_config("out", [1.0, 0.5]))
     assert main(["sweep", "--config", cfg]) == 2
@@ -463,6 +474,26 @@ def test_non_finite_kernel_phase_is_numerical_failure(tmp_path, capsys, command,
     assert err.startswith("numerical failure:")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (out / "report.json").exists()
+
+
+def test_unnormalizable_packet_is_one_numerical_failure_line(tmp_path, capsys):
+    # alpha = 5e-324 makes the packet width underflow to 0, so make_gaussian cannot normalize it.
+    out = str(tmp_path / "out")
+    payload = harmonic_evolve_config(out)
+    payload["run"] = {"x0": 0.5, "p0": 0.3, "n_steps": 5, "alpha": 5e-324}
+    cfg = write_config(tmp_path, "evolve.json", payload)
+    assert main(["evolve", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: Gaussian packet cannot be normalized")
+    assert err.count("\n") == 1
+    # In a sweep the same packet fails each run, not the sweep.
+    sweep = sweep_config(out, [1.0, 0.5, 0.25])
+    sweep["run"]["alpha"] = 5e-324
+    cfg = write_config(tmp_path, "sweep.json", sweep)
+    assert main(["sweep", "--config", cfg]) == 1
+    errors = read_report(out)["results"]["sweep"]["errors"]
+    assert sorted(errors) == ["0.25", "0.5", "1.0"]
+    assert all(e.startswith("FloatingPointError: Gaussian packet cannot be normalized") for e in errors.values())
 
 
 @pytest.mark.parametrize(

@@ -5,8 +5,8 @@ block drawn from its schema table, and accepted by ``load_config``), or one
 such config with a single key mutated (a wrong type, an out-of-range value,
 an unknown key or a missing key). Each one runs through ``cli.main``. The
 exit code must be 0, 1, 2 or 3, never 4; exits 2 and 3 print exactly one
-stderr line; no warning and no traceback reaches stderr; and a mutation
-that breaks the schema exits 2.
+stderr line; no warning and no traceback reaches stderr; a mutation that
+breaks the schema exits 2; and some pinned draws must give one exit code.
 """
 
 import contextlib
@@ -175,7 +175,7 @@ def _get(raw: dict, path: tuple):
 
 @st.composite
 def cases(draw):
-    """(command, raw config, whether the schema must reject it).
+    """(command, raw config, the exit code it must give: 2 if the schema must reject it, else None).
 
     The base of every draw is a valid config, so a mutated one has exactly one fault.
     """
@@ -189,23 +189,23 @@ def cases(draw):
     # Half the draws stay valid; the other half mutate one key.
     mutation = draw(st.sampled_from([None] * 4 + ["wrong_type", "out_of_range", "unknown_key", "missing_key"]))
     if mutation is None:
-        return command, raw, False
+        return command, raw, None
     if mutation == "unknown_key":
         blocks = [()] + [path for path, _, _ in leaves if isinstance(_get(raw, path), dict)]
         _get(raw, draw(st.sampled_from(blocks)))["unexpected"] = 1.0
-        return command, raw, True
+        return command, raw, 2
     if mutation == "out_of_range":
         leaves = [leaf for leaf in leaves if _out_of_range(leaf[1])]
     path, check, required = draw(st.sampled_from(leaves))
     if mutation == "missing_key":
         del _get(raw, path[:-1])[path[-1]]
-        return command, raw, required
+        return command, raw, 2 if required else None
     if mutation == "wrong_type":
         values = [value for kind, value in KINDS.items() if kind not in _json_kinds(check)]
     else:
         values = _out_of_range(check)
     _get(raw, path[:-1])[path[-1]] = draw(st.sampled_from(values))
-    return command, raw, True
+    return command, raw, 2
 
 
 def _run(command: str, raw: dict) -> tuple[int, str, list]:
@@ -273,6 +273,10 @@ PINNED = {
             _QUARTIC | {"epsilon": 1e-150},
         ),
     ),
+    "sweep_spacing_underflow": (
+        "sweep",
+        _config({"x0": 0.0, "p0": 0.0, "n_steps": 1, "hbar_list": [1.0, 0.5, 5e-324]}, {"n_points": 16}),
+    ),
     "sweep_spacing_overflow": (
         "sweep",
         _config(
@@ -301,20 +305,21 @@ PINNED = {
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 @given(case=cases())
-@example(case=("classical", _quartic_probe(tau=1e-300), False))
-@example(case=("classical", _quartic_probe(tau=1e150), False))
-@example(case=("classical", _quartic_probe(mass=1e-300), False))
-@example(case=(*PINNED["zero_division_in_the_amplitude"], False))
-@example(case=(*PINNED["overflow_in_the_kinetic_phase"], False))
-@example(case=(*PINNED["lattice_past_the_largest_float"], False))
-@example(case=(*PINNED["calibrated_matrix_overflow"], False))
-@example(case=(*PINNED["packet_width_underflow"], False))
-@example(case=(*PINNED["probe_gradient_overflow"], False))
-@example(case=(*PINNED["sweep_spacing_overflow"], False))
-@example(case=(*PINNED["criterion_overflow"], False))
-@example(case=(*PINNED["criterion_domain_past_the_largest_float"], False))
+@example(case=("classical", _quartic_probe(tau=1e-300), None))
+@example(case=("classical", _quartic_probe(tau=1e150), None))
+@example(case=("classical", _quartic_probe(mass=1e-300), None))
+@example(case=(*PINNED["zero_division_in_the_amplitude"], None))
+@example(case=(*PINNED["overflow_in_the_kinetic_phase"], None))
+@example(case=(*PINNED["lattice_past_the_largest_float"], None))
+@example(case=(*PINNED["calibrated_matrix_overflow"], None))
+@example(case=(*PINNED["packet_width_underflow"], 3))
+@example(case=(*PINNED["probe_gradient_overflow"], None))
+@example(case=(*PINNED["sweep_spacing_underflow"], 1))
+@example(case=(*PINNED["sweep_spacing_overflow"], None))
+@example(case=(*PINNED["criterion_overflow"], None))
+@example(case=(*PINNED["criterion_domain_past_the_largest_float"], None))
 def test_every_drawn_config_keeps_the_exit_code_contract(case):
-    command, raw, rejected = case
+    command, raw, expected = case
     code, err, caught = _run(command, raw)
     lines = err.splitlines()
     assert code in (0, 1, 2, 3), err
@@ -326,5 +331,5 @@ def test_every_drawn_config_keeps_the_exit_code_contract(case):
         assert lines and all(line.startswith("FAIL: ") for line in lines), err
     else:
         assert len(lines) == 1 and lines[0].startswith(PREFIX[code]), err
-    if rejected:
-        assert code == 2, err
+    if expected is not None:
+        assert code == expected, err

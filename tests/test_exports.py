@@ -1,0 +1,51 @@
+"""Export hygiene: every exported name resolves, and the package never imports its tests."""
+
+import ast
+import importlib
+import os
+import pkgutil
+
+import dtqm
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.dirname(dtqm.__file__)
+
+
+def _modules():
+    return [importlib.import_module(f"dtqm.{info.name}") for info in pkgutil.iter_modules([SRC])]
+
+
+def _tree(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), path)
+
+
+def test_every_name_in_each_all_resolves():
+    for module in [dtqm, *_modules()]:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.__all__ lists {name!r}, which it does not define"
+
+
+def test_every_name_the_package_imports_resolves():
+    for node in ast.walk(_tree(dtqm.__file__)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = importlib.import_module(f"dtqm.{node.module}")
+            for alias in node.names:
+                assert hasattr(module, alias.name), f"dtqm.{node.module} has no {alias.name!r}"
+                assert alias.name in module.__all__, f"dtqm.{node.module}.__all__ does not list {alias.name!r}"
+                assert getattr(dtqm, alias.name) is getattr(module, alias.name)
+
+
+def test_no_package_module_imports_from_the_tests():
+    test_modules = {"tests"} | {name[:-3] for name in os.listdir(TESTS) if name.endswith(".py")}
+    for name in os.listdir(SRC):
+        if not name.endswith(".py"):
+            continue
+        for node in ast.walk(_tree(os.path.join(SRC, name))):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            assert not test_modules & set(roots), f"{name} imports {roots} from the tests"

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import norm
 
 from dtqm import (
     ActionModel,
@@ -25,7 +26,6 @@ from dtqm import (
     make_grid_2d,
     momentum_identity_residual,
     multi_step_pathsum,
-    norm,
     quadratic_phase,
     quartic_potential,
     unitarity_defect,
