@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .action import ActionModel, GaugedAction, is_standard_family
+from .action import ActionModel, is_standard_family
 from .rootfind import newton_solve, scan_roots
 
 __all__ = [
@@ -104,26 +104,22 @@ def _family_track(model, x_prev: float, x_now: float, n_steps: int) -> list[floa
     """The seed pair and the next n_steps roots x_now + (tau/m) g of the standard family.
 
     d2S/dxdy = -m / tau makes the equation of motion linear, so one Newton
-    step solves it. g = dS(x_now, x_prev)/dx + dS(x_now, x_now)/dy is summed
-    in the order of the model's evaluators, so the roots match theirs bit for
-    bit. A non-finite root is a numerical failure, never a verdict.
+    step solves it. g = dS(x_now, x_prev)/dx + dS(x_now, x_now)/dy is summed in
+    the order of StandardAction's evaluators, so the roots match theirs bit
+    for bit. A gauged action's term phi(x) - phi(y) is a discrete total
+    difference and drops out of the equation exactly, so the loop calls V'
+    once per step and never phi': a gauged track is the standard track. A
+    non-finite root is a numerical failure, never a verdict.
     """
     c = model.constants
     kin, half, step = c.mass / c.time_step, 0.5 * c.time_step, c.time_step / c.mass
     dv = model.potential.dv
-    dphi = model.phase.dphi if isinstance(model, GaugedAction) else None
     track = [x_prev, x_now]
     # Overflow is not reported as a warning: each root is checked below.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_steps):
-            x = np.float64(x_now)
-            d = half * float(dv(x))
-            if dphi is None:
-                g = (kin * (x_now - x_prev) - d) + (-kin * (x_now - x_now) - d)
-            else:
-                p = float(dphi(x))
-                g = (kin * (x_now - x_prev) - d + p) + (-kin * (x_now - x_now) - d - p)
-            x_next = x_now + step * g
+            d = half * float(dv(np.float64(x_now)))
+            x_next = x_now + step * (kin * (x_now - x_prev) - d - d)
             if not math.isfinite(x_next):
                 raise NumericalError(f"the closed-form step from x_prev={x_prev}, x_now={x_now} is not finite")
             track.append(x_next)

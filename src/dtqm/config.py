@@ -96,7 +96,10 @@ _NON_NEGATIVE = _Number("non-negative")
 
 @dataclass(frozen=True)
 class _Integer:
+    """An integer in [minimum, maximum]."""
+
     minimum: int
+    maximum: int
 
     def __call__(self, value, where: str) -> int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -104,7 +107,16 @@ class _Integer:
         if value < self.minimum:
             least = "non-negative" if self.minimum == 0 else f"at least {self.minimum}"
             raise ConfigError(f"'{where}' must be {least}, got {value}")
+        if value > self.maximum:
+            raise ConfigError(f"'{where}' must be at most {self.maximum}, got {value}")
         return value
+
+
+# Upper limits of the integer keys: far above any desk-scale run, and low
+# enough that a mistyped value fails here instead of running without end.
+MAX_STEPS = 1_000_000
+MAX_POINTS = 2**22
+MAX_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -244,12 +256,12 @@ _OUTPUT = {"directory": (_string, "dtqm-out"), "formats": (_EnumList(("csv", "js
 
 # The grid keys each command requires; None forbids the block. 'run',
 # 'constants' and 'action' are always required, 'output' always optional.
-_FULL_GRID = {"n_points": _Integer(4), "x_min": _NUMBER, "spacing": _POSITIVE}
+_FULL_GRID = {"n_points": _Integer(4, MAX_POINTS), "x_min": _NUMBER, "spacing": _POSITIVE}
 _GRID_USAGE = {
     "check-action": None,
     "evolve": _FULL_GRID,
     "classical": None,
-    "sweep": {"n_points": _Integer(4)},  # the spacing is retuned per hbar
+    "sweep": {"n_points": _Integer(4, MAX_POINTS)},  # the spacing is retuned per hbar
     "build": _FULL_GRID,
 }
 
@@ -258,10 +270,10 @@ _AMPLITUDE_MODE = (_Enum(("analytic", "calibrated")), "analytic")
 _RUN_SCHEMAS = {
     "check-action": (
         {"domain": _interval, "expect": _Enum(("admissible", "inadmissible"))},
-        {"n_samples": (_Integer(16), 1024), "tolerance": (_NON_NEGATIVE, 1e-8)},
+        {"n_samples": (_Integer(16, MAX_SAMPLES), 1024), "tolerance": (_NON_NEGATIVE, 1e-8)},
     ),
     "evolve": (
-        {"x0": _NUMBER, "p0": _NUMBER, "n_steps": _Integer(0)},
+        {"x0": _NUMBER, "p0": _NUMBER, "n_steps": _Integer(0, MAX_STEPS)},
         {
             "alpha": (_POSITIVE, 1.0),
             "amplitude_mode": _AMPLITUDE_MODE,
@@ -270,7 +282,7 @@ _RUN_SCHEMAS = {
         },
     ),
     "classical": (
-        {"x0": _NUMBER, "n_steps": _Integer(1)},
+        {"x0": _NUMBER, "n_steps": _Integer(1, MAX_STEPS)},
         {
             "x_minus1": (_NUMBER, None),
             "p0": (_NUMBER, None),
@@ -278,7 +290,7 @@ _RUN_SCHEMAS = {
         },
     ),
     "sweep": (
-        {"x0": _NUMBER, "p0": _NUMBER, "n_steps": _Integer(1), "hbar_list": _Descending(3)},
+        {"x0": _NUMBER, "p0": _NUMBER, "n_steps": _Integer(1, MAX_STEPS), "hbar_list": _Descending(3)},
         {"alpha": (_POSITIVE, 1.0)},
     ),
     "build": ({}, {"amplitude_mode": _AMPLITUDE_MODE, "max_unitarity_deviation": (_NON_NEGATIVE, None)}),

@@ -38,7 +38,6 @@ class SpatialGrid:
     shape: tuple[int, ...]
     x_min: tuple[float, ...]
     spacing: tuple[float, ...]
-    boundary: str = "periodic"
 
     @property
     def dimension(self) -> int:

@@ -54,19 +54,21 @@ class PropagatorKernel:
     diag(left) K diag(right) (see _kernel_factors); ``apply`` is then one
     size-N FFT at tau* / q and one size-2N FFT pair otherwise, O(N log N)
     either way. Without factors ``apply`` is the dense matvec. ``q`` is the
-    integer with tau = tau* / q when ``apply`` is the chirped DFT, else None.
+    integer with tau = tau* / q when ``apply`` is the chirped DFT, else None;
+    ``q_raw`` is N a / pi before that snap (see _kernel_factors).
     ``calibration`` is None for analytic kernels and {"offdiag_row_sum": r,
     "at_bracket_edge": bool} for calibrated ones (see _calibrate_magnitude).
     """
 
-    __slots__ = ("grid", "model", "amplitude", "calibration", "q", "_factors", "_matrix", "_deviation")
+    __slots__ = ("grid", "model", "amplitude", "calibration", "q", "q_raw", "_factors", "_matrix", "_deviation")
 
-    def __init__(self, grid, model, amplitude, factors, matrix, calibration, q):
+    def __init__(self, grid, model, amplitude, factors, matrix, calibration, q, q_raw):
         self.grid = grid
         self.model = model
         self.amplitude = amplitude
         self.calibration = calibration
         self.q = q
+        self.q_raw = q_raw
         self._factors = factors
         if matrix is not None:
             matrix.flags.writeable = False
@@ -101,11 +103,15 @@ class PropagatorKernel:
 
     @property
     def summary(self) -> dict:
-        """The reports' ``kernel`` block: ``apply`` (see apply_path), ``q``, and ``gcd_q_n`` = gcd(q, N)."""
+        """The reports' ``kernel`` block: ``apply`` (see apply_path), ``q``, ``gcd_q_n`` = gcd(q, N)
+        and ``q_offset`` = q_raw / q - 1, the relative snap of the applied step to tau* / q.
+        """
+        magic = self.q is not None
         return {
             "apply": self.apply_path,
             "q": self.q,
-            "gcd_q_n": None if self.q is None else math.gcd(self.q, self.grid.n_total),
+            "gcd_q_n": math.gcd(self.q, self.grid.n_total) if magic else None,
+            "q_offset": self.q_raw / self.q - 1.0 if magic else None,
         }
 
     @property
@@ -198,7 +204,7 @@ def _finite(phases: np.ndarray) -> np.ndarray:
 
 
 def _kernel_factors(grid: SpatialGrid, model: StandardAction, amplitude: complex):
-    """((left, right, spectrum, rows), q) with U = diag(left) K diag(right), K_jk = kin(j - k).
+    """((left, right, spectrum, rows), q, q_raw) with U = diag(left) K diag(right), K_jk = kin(j - k).
 
     S(x_j, x_k) = kin(x_j - x_k) + half_j + half_k + phi_j - phi_k, where
     half = S(x, x) / 2 = -tau V(x) / 2 and the gauge term is exactly zero at
@@ -212,7 +218,7 @@ def _kernel_factors(grid: SpatialGrid, model: StandardAction, amplitude: complex
     identity (q = 1 mod N). The chirp phase is taken mod 2N in integers, so it
     carries no O(N eps) rounding at large j. Otherwise K is embedded in a 2N
     circulant with FFT ``spectrum``, for any N and time step, ``rows`` is None
-    and q is returned as None.
+    and q is returned as None. ``q_raw`` is N a / pi as computed, before the snap.
     """
     c = model.constants
     n = grid.n_total
@@ -240,7 +246,7 @@ def _kernel_factors(grid: SpatialGrid, model: StandardAction, amplitude: complex
             spectrum = np.fft.fft(np.concatenate([kin, [0.0], kin[:0:-1]]))
             rows = None
             magic_q = None
-    return (left, right, spectrum, rows), magic_q
+    return (left, right, spectrum, rows), magic_q, q
 
 
 def _calibrate_magnitude(phases: np.ndarray, weight: float, center: float):
@@ -302,12 +308,12 @@ def build_kernel(grid: SpatialGrid, model: ActionModel, amplitude_mode: str = "a
     else:
         raise ValueError(f"unknown amplitude mode '{amplitude_mode}'")
     amplitude = complex(amplitude)
-    factors, q = _kernel_factors(grid, model, amplitude) if is_standard_family(model) else (None, None)
+    factors, q, q_raw = _kernel_factors(grid, model, amplitude) if is_standard_family(model) else (None, None, None)
     # Overflow of the weight times the amplitude is not reported as a warning:
     # eigvals and the packet checks refuse a non-finite matrix.
     with np.errstate(over="ignore", invalid="ignore"):
         matrix = None if phases is None else grid.weight * amplitude * phases
-    return PropagatorKernel(grid, model, amplitude, factors, matrix, calibration, q)
+    return PropagatorKernel(grid, model, amplitude, factors, matrix, calibration, q, q_raw)
 
 
 def evolve(kernel: PropagatorKernel, psi: WaveState) -> WaveState:

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dtqm import (
@@ -475,7 +475,8 @@ def _evaluator_track(model, x0, x_minus1, n_steps):
 
 @pytest.mark.parametrize("model, x_minus1, n_steps", _family_runs())
 def test_family_track_is_bit_identical_to_the_evaluators(model, x_minus1, n_steps):
-    expected = _evaluator_track(model, 1.0, x_minus1, n_steps)
+    # The gauge term drops out of the equation of motion: a gauged track is the standard one.
+    expected = _evaluator_track(StandardAction(model.constants, model.potential), 1.0, x_minus1, n_steps)
     trajectory = integrate(model, 1.0, x_minus1, n_steps)
     assert trajectory.status is TrajectoryStatus.COMPLETE
     assert np.array_equal(trajectory.positions, expected[1:])
@@ -506,8 +507,9 @@ def test_family_integrate_calls_dv_once_per_step(monkeypatch):
     phase = GaugePhase(phase.name, phase.phi, spy("dphi", phase.dphi))
     c = PhysicalConstants(1.0, 0.1, HBAR)
     n = 50
-    # One call per step, then one each for the momenta and residual broadcasts.
-    for model, dphi_calls in ((StandardAction(c, pot), 0), (GaugedAction(c, pot, phase), n + 2)):
+    # dv: one call per step, then one each for the momenta and residual
+    # broadcasts; dphi enters only those two.
+    for model, dphi_calls in ((StandardAction(c, pot), 0), (GaugedAction(c, pot, phase), 2)):
         calls.clear()
         assert integrate(model, 1.0, 0.98, n).status is TrajectoryStatus.COMPLETE
         assert calls.count("dv") == n + 2 and calls.count("dphi") == dphi_calls
@@ -518,12 +520,11 @@ def test_family_integrate_calls_dv_once_per_step(monkeypatch):
     potential=st.sampled_from(sorted(POTENTIALS)),
     phase=st.sampled_from([None, *sorted(PHASES)]),
     tau=st.floats(0.01, 0.5),
-    # The bound is relative to the track. A step's absolute rounding does not
-    # shrink with it (|dphi| tau / m for a gauged step), so |x0| >= 0.1.
-    x0=st.floats(0.1, 2.0) | st.floats(-2.0, -0.1),
+    x0=st.floats(-2.0, 2.0),
     velocity=st.floats(-2.0, 2.0),
     n_steps=st.integers(1, 200),
 )
+@example(potential="harmonic", phase="linear", tau=0.1, x0=1e-10, velocity=1e-9, n_steps=100)
 def test_family_integrate_matches_the_leapfrog_recursion(potential, phase, tau, x0, velocity, n_steps):
     pot = POTENTIALS[potential]
     c = PhysicalConstants(1.0, tau, HBAR)

@@ -247,6 +247,27 @@ def test_classical_harmonic_and_sine_probe(tmp_path):
     assert main(["classical", "--config", surprise]) == 1
 
 
+def test_gauged_classical_run_writes_the_standard_positions(tmp_path):
+    potential = {"name": "cosine_well", "depth": 2.0, "wavenumber": 0.35}
+    columns = {}
+    for kind, extra in (("standard", {}), ("gauged", {"phase": {"name": "quadratic", "curvature": 0.3}})):
+        out = str(tmp_path / kind)
+        payload = {
+            "constants": {"mass": 1.0, "hbar": 1.0, "tau": 0.1},
+            "action": {"kind": kind, "potential": potential, **extra},
+            "run": {"x0": 1.0, "x_minus1": 0.97, "n_steps": 200},
+            "output": {"directory": out},
+        }
+        assert main(["classical", "--config", write_config(tmp_path, f"{kind}.json", payload)]) == 0
+        rows = open(os.path.join(out, "classical.csv"), encoding="utf-8").read().splitlines()[2:]
+        columns[kind] = list(zip(*(row.split(",") for row in rows)))
+    # The gauge term leaves the positions alone; phi' = 0.6 x enters the momenta.
+    assert columns["gauged"][1] == columns["standard"][1]
+    x = np.array(columns["standard"][1], dtype=float)
+    p_shift = np.array(columns["gauged"][2], dtype=float) - np.array(columns["standard"][2], dtype=float)
+    np.testing.assert_allclose(p_shift, 0.6 * x, rtol=1e-12, atol=1e-12)
+
+
 def test_classical_seed_requires_exactly_one_of_two_keys(tmp_path):
     base = {
         "constants": {"mass": 1.0, "hbar": 1.0, "tau": 0.1},
@@ -548,6 +569,31 @@ def test_negative_tolerance_is_config_error(tmp_path, capsys, command, key):
     assert main([command, "--config", write_config(tmp_path, "zero.json", payload)]) in (0, 1)
 
 
+@pytest.mark.parametrize(
+    "command, block, key, limit",
+    [
+        ("classical", "run", "n_steps", 1_000_000),
+        ("evolve", "run", "n_steps", 1_000_000),
+        ("evolve", "grid", "n_points", 2**22),
+        ("check-action", "run", "n_samples", 1_000_000),
+    ],
+)
+def test_integer_past_its_limit_is_config_error(tmp_path, capsys, command, block, key, limit):
+    from dtqm.config import load_config
+
+    out = tmp_path / "out"
+    payload = harmonic_evolve_config(str(out)) if command == "evolve" else _check_action_config(str(out))
+    if command == "classical":
+        payload["run"] = {"x0": 0.5, "x_minus1": 0.4, "n_steps": 5}
+    for value in (10**30, limit + 1):
+        payload[block][key] = value
+        assert main([command, "--config", write_config(tmp_path, "big.json", payload)]) == 2
+        assert capsys.readouterr().err == f"config error: '{block}.{key}' must be at most {limit}, got {value}\n"
+    assert not out.exists()
+    payload[block][key] = limit
+    assert load_config(write_config(tmp_path, "limit.json", payload), command)[block][key] == limit
+
+
 @pytest.mark.parametrize("command", ["evolve", "build"])
 def test_magic_step_that_underflows_is_config_error(tmp_path, capsys, command):
     out = tmp_path / "out"
@@ -734,7 +780,14 @@ SINE_PROBE = {"kind": "sine", "strength": 1.0}
 
 
 def _block(apply, q, source):
-    return {"apply": apply, "q": q, "gcd_q_n": None if q is None else math.gcd(q, 32), "eig_source": source}
+    magic = q is not None
+    return {
+        "apply": apply,
+        "q": q,
+        "gcd_q_n": math.gcd(q, 32) if magic else None,
+        "q_offset": 0.0 if magic else None,
+        "eig_source": source,
+    }
 
 
 @pytest.mark.parametrize(
@@ -781,9 +834,9 @@ def test_build_of_a_family_subclass_calls_eigvals(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "tau_share, kernel",
     [
-        (1.0, {"apply": "chirped_dft", "q": 1, "gcd_q_n": 1}),
-        (0.5, {"apply": "chirped_dft", "q": 2, "gcd_q_n": 2}),  # gcd(2, 256) = 2
-        (0.93, {"apply": "embedding_2n", "q": None, "gcd_q_n": None}),
+        (1.0, {"apply": "chirped_dft", "q": 1, "gcd_q_n": 1, "q_offset": 0.0}),
+        (0.5, {"apply": "chirped_dft", "q": 2, "gcd_q_n": 2, "q_offset": 0.0}),  # gcd(2, 256) = 2
+        (0.93, {"apply": "embedding_2n", "q": None, "gcd_q_n": None, "q_offset": None}),
     ],
 )
 def test_evolve_reports_its_kernel(tmp_path, tau_share, kernel):
@@ -794,6 +847,31 @@ def test_evolve_reports_its_kernel(tmp_path, tau_share, kernel):
         del payload["run"]["tracking_tolerance"], payload["run"]["norm_tolerance"]
     assert main(["evolve", "--config", write_config(tmp_path, "evolve.json", payload)]) == 0
     assert read_report(out)["results"]["kernel"] == kernel
+
+
+@pytest.mark.parametrize("n_points", [32, 39])  # the magic step snaps by 0 and by -3 ulps
+def test_build_reports_the_snap_of_the_magic_step(tmp_path, n_points):
+    from dtqm import magic_time_step, make_grid
+
+    grid = {"n_points": n_points, "x_min": -8.0, "spacing": 16.0 / n_points}
+    magic_tau = magic_time_step(make_grid(**grid), 1.0, 1.0)
+    offsets = []
+    for tau in ("magic", magic_tau * (1.0 + 1e-13)):
+        out = str(tmp_path / f"out-{tau}")
+        payload = {
+            "grid": grid,
+            "constants": {"mass": 1.0, "hbar": 1.0, "tau": tau},
+            "action": HARMONIC,
+            "run": {},
+            "output": {"directory": out},
+        }
+        assert main(["build", "--config", write_config(tmp_path, "build.json", payload)]) == 0
+        kernel = read_report(out)["results"]["kernel"]
+        assert (kernel["apply"], kernel["q"]) == ("chirped_dft", 1)
+        offsets.append(kernel["q_offset"])
+    # q = N a / pi falls as tau grows.
+    assert abs(offsets[0]) <= 4.5e-16
+    assert offsets[1] == pytest.approx(-1e-13, rel=1e-3)
 
 
 def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):

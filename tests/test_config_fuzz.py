@@ -72,7 +72,7 @@ def _out_of_range(check) -> list:
         below = {None: [], "positive": [0.0, -1.0, -1e-300], "non-negative": [-1.0, -1e-300]}[check.sign]
         return below + [math.nan, math.inf, -math.inf, 10**400]
     if isinstance(check, config._Integer):
-        return [check.minimum - 1, check.minimum - 5]
+        return [check.minimum - 1, check.minimum - 5, check.maximum + 1]
     if isinstance(check, config._Enum):
         return ["bogus"]
     if isinstance(check, config._EnumList):

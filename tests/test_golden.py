@@ -64,3 +64,9 @@ def test_a_changed_column_exit_and_report_path_are_named(tmp_path):
     assert any(line.startswith("build: exit 0 -> 1") for line in lines)
     # Without the expected run's outputs, a changed file is only named.
     assert "classical: classical.csv differs" in golden.compare(expected, actual, None, str(tmp_path / "b"))
+
+
+def test_a_key_added_as_null_is_named():
+    assert golden.json_paths({"kernel": {"q": 1}}, {"kernel": {"q": 1, "q_offset": None}}) == ["kernel.q_offset"]
+    assert golden.json_paths({"q": None}, {}) == ["q"]
+    assert golden.json_paths({"q": None}, {"q": None}) == []

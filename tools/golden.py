@@ -131,11 +131,19 @@ def csv_changes(old: str, new: str) -> list[str]:
     return lines
 
 
+# Stands in for a key one side lacks, so that a key added as null differs.
+_MISSING = object()
+
+
 def json_paths(old, new, path: str = "") -> list[str]:
     """The paths at which two JSON values differ."""
     if isinstance(old, dict) and isinstance(new, dict):
         keys = sorted(set(old) | set(new))
-        return [p for key in keys for p in json_paths(old.get(key), new.get(key), f"{path}.{key}" if path else key)]
+        return [
+            p
+            for key in keys
+            for p in json_paths(old.get(key, _MISSING), new.get(key, _MISSING), f"{path}.{key}" if path else key)
+        ]
     if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
         return [p for k, (x, y) in enumerate(zip(old, new)) for p in json_paths(x, y, f"{path}[{k}]")]
     return [] if old == new else [path or "."]
