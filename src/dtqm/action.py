@@ -6,6 +6,8 @@ mixed second derivative. All derivatives are analytic; finite differences
 appear only as test oracles.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .potentials import GaugeField2D, GaugePhase, Potential
@@ -26,32 +28,21 @@ __all__ = [
 ]
 
 
+# Not slots=True: Python 3.11 then raises TypeError when a name that is not a field is set.
+@dataclass(frozen=True)
 class PhysicalConstants:
-    """Mass, time step, and hbar; all strictly positive."""
+    """Mass, time step, and hbar; all strictly positive, stored as floats."""
 
-    __slots__ = ("mass", "time_step", "hbar")
+    mass: float
+    time_step: float
+    hbar: float
 
-    def __init__(self, mass: float, time_step: float, hbar: float):
-        for name, value in (("mass", mass), ("time_step", time_step), ("hbar", hbar)):
+    def __post_init__(self):
+        for name in ("mass", "time_step", "hbar"):
+            value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-        object.__setattr__(self, "mass", float(mass))
-        object.__setattr__(self, "time_step", float(time_step))
-        object.__setattr__(self, "hbar", float(hbar))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PhysicalConstants is immutable")
-
-    def __repr__(self):
-        return f"PhysicalConstants(mass={self.mass}, time_step={self.time_step}, hbar={self.hbar})"
-
-    def __eq__(self, other):
-        if not isinstance(other, PhysicalConstants):
-            return NotImplemented
-        return (self.mass, self.time_step, self.hbar) == (other.mass, other.time_step, other.hbar)
-
-    def __hash__(self):
-        return hash((self.mass, self.time_step, self.hbar))
+            object.__setattr__(self, name, float(value))
 
 
 class ActionModel:

@@ -26,6 +26,7 @@ __all__ = [
     "EomResult",
     "ClassicalTrajectory",
     "NumericalError",
+    "NUMERICAL_FAILURES",
     "momentum_from_pair",
     "eom_step",
     "integrate",
@@ -42,6 +43,11 @@ MAX_NEWTON_2D = 60
 
 class NumericalError(RuntimeError):
     """A solver could not produce a result it was expected to produce."""
+
+
+# What a run on a validated config raises when its numerics fail (numpy's
+# LinAlgError is a ValueError); a bad config raises ConfigError instead.
+NUMERICAL_FAILURES = (NumericalError, ArithmeticError, ValueError)
 
 
 class TrajectoryStatus(Enum):

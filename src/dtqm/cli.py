@@ -1,15 +1,20 @@
 """Command-line driver: validate a config, run one experiment, write reports.
 
-Exit codes are a stable contract: 0 success/pass, 1 tolerance failure,
-2 configuration error, 3 numerical failure (solver, non-finite kernel
-phases, boundary safety, criterion sampling, linear algebra or float
-arithmetic), 4 internal error (any other exception: a defect, reported as
-one line).
+Exit codes are a stable contract, decided in ``main`` alone: 0 success/pass,
+1 tolerance failure, 2 configuration error (only a ConfigError from
+load_config, raised before the output directory is made, or an output path
+that cannot be written), 3 numerical failure (anything in NUMERICAL_FAILURES
+raised after validation: solver, non-finite kernel phases, boundary safety,
+criterion sampling, linear algebra, float arithmetic, or a bad value met by
+the numerics), 4 internal error (any other exception: a defect, reported as
+one line). The command handlers return their results and failures; only
+``main`` maps them to an exit code.
 Identical configs reproduce byte-identical CSV and JSON outputs except for
 the wall-time field of the run report.
 """
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -19,10 +24,10 @@ import time
 import numpy as np
 
 from . import __version__
-from .classical import NumericalError, integrate, invert_momentum
+from .classical import NUMERICAL_FAILURES, integrate, invert_momentum
 from .config import ConfigError, build_action, build_constants, build_grid, load_config
-from .correspondence import BoundaryError, ehrenfest_run, hbar_sweep
-from .criterion import CriterionError, check_criterion
+from .correspondence import ehrenfest_run, hbar_sweep
+from .criterion import check_criterion
 from .propagator import build_kernel, magic_time_step
 
 EXIT_OK = 0
@@ -56,7 +61,17 @@ def _write_report(outdir: str, report: dict) -> str:
     return path
 
 
-def _cmd_check_action(cfg: dict, outdir: str, formats: set[str]) -> tuple[int, dict, list[str]]:
+def _make_output_directory(path: str) -> None:
+    """``os.makedirs``, raising OSError for a name no file can have, as for any other bad path."""
+    if "\0" in path:
+        raise OSError(errno.EINVAL, "embedded null byte", path)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except UnicodeEncodeError as exc:  # a lone surrogate, which no file system encoding holds
+        raise OSError(errno.EINVAL, exc.reason, path) from exc
+
+
+def _cmd_check_action(cfg: dict, outdir: str, formats: set[str]) -> tuple[dict, list[str]]:
     constants = build_constants(cfg, None)
     model = build_action(cfg, constants)
     run = cfg["run"]
@@ -64,17 +79,13 @@ def _cmd_check_action(cfg: dict, outdir: str, formats: set[str]) -> tuple[int, d
     results = {"criterion": report.as_dict()}
     if cfg["action"]["kind"] == "vector_potential_2d":
         results["linearized_max_trace"] = report.trace_linearized
-    expected_constant = run["expect"] == "admissible"
     failures = []
-    if report.is_constant != expected_constant:
-        failures.append(
-            f"expected {'admissible' if expected_constant else 'inadmissible'} action, "
-            f"criterion returned is_constant={report.is_constant}"
-        )
-    return (EXIT_OK if not failures else EXIT_TOLERANCE), results, failures
+    if report.is_constant != (run["expect"] == "admissible"):
+        failures.append(f"expected {run['expect']} action, criterion returned is_constant={report.is_constant}")
+    return results, failures
 
 
-def _cmd_evolve(cfg: dict, outdir: str, formats: set[str]) -> tuple[int, dict, list[str]]:
+def _cmd_evolve(cfg: dict, outdir: str, formats: set[str]) -> tuple[dict, list[str]]:
     grid = build_grid(cfg)
     constants = build_constants(cfg, grid)
     model = build_action(cfg, constants)
@@ -111,17 +122,14 @@ def _cmd_evolve(cfg: dict, outdir: str, formats: set[str]) -> tuple[int, dict, l
             failures.append(f"momentum tracking {results['max_momentum_deviation']:.3e} > {tol:.3e}")
     if run["norm_tolerance"] is not None and max_norm_drift > run["norm_tolerance"]:
         failures.append(f"norm drift {max_norm_drift:.3e} > {run['norm_tolerance']:.3e}")
-    return (EXIT_OK if not failures else EXIT_TOLERANCE), results, failures
+    return results, failures
 
 
-def _cmd_classical(cfg: dict, outdir: str, formats: set[str]) -> tuple[int, dict, list[str]]:
+def _cmd_classical(cfg: dict, outdir: str, formats: set[str]) -> tuple[dict, list[str]]:
     constants = build_constants(cfg, None)
     model = build_action(cfg, constants)
     run = cfg["run"]
-    if run["x_minus1"] is not None:
-        x_minus1 = run["x_minus1"]
-    else:
-        x_minus1 = invert_momentum(model, run["x0"], run["p0"])
+    x_minus1 = run["x_minus1"] if run["x_minus1"] is not None else invert_momentum(model, run["x0"], run["p0"])
     trajectory = integrate(model, run["x0"], x_minus1, run["n_steps"])
     if "csv" in formats:
         columns = [trajectory.times, trajectory.positions, trajectory.momenta, trajectory.residuals]
@@ -136,11 +144,10 @@ def _cmd_classical(cfg: dict, outdir: str, formats: set[str]) -> tuple[int, dict
     failures = []
     if trajectory.status.value != run["expect_status"]:
         failures.append(f"expected status '{run['expect_status']}', got '{trajectory.label()}'")
-    return (EXIT_OK if not failures else EXIT_TOLERANCE), results, failures
+    return results, failures
 
 
-def _cmd_sweep(cfg: dict, outdir: str, formats: set[str]) -> tuple[int, dict, list[str]]:
-    constants_cfg = cfg["constants"]
+def _cmd_sweep(cfg: dict, outdir: str, formats: set[str]) -> tuple[dict, list[str]]:
     run = cfg["run"]
 
     def factory(hbar: float):
@@ -157,16 +164,14 @@ def _cmd_sweep(cfg: dict, outdir: str, formats: set[str]) -> tuple[int, dict, li
     )
     if "csv" in formats and report.finest is not None:
         _write_series_csv(os.path.join(outdir, "sweep_finest.csv"), report.finest)
-    results = {"sweep": report.as_dict(), "mass": constants_cfg["mass"], "tau": constants_cfg["tau"]}
-    failures = []
-    if report.errors:
-        failures.extend(f"hbar={h}: {msg}" for h, msg in sorted(report.errors.items(), reverse=True))
+    results = {"sweep": report.as_dict(), "mass": cfg["constants"]["mass"], "tau": cfg["constants"]["tau"]}
+    failures = [f"hbar={h}: {msg}" for h, msg in sorted(report.errors.items(), reverse=True)]
     if not report.monotone_flag:
         failures.append("deviation sequence is not non-increasing in hbar")
-    return (EXIT_OK if not failures else EXIT_TOLERANCE), results, failures
+    return results, failures
 
 
-def _cmd_build(cfg: dict, outdir: str, formats: set[str]) -> tuple[int, dict, list[str]]:
+def _cmd_build(cfg: dict, outdir: str, formats: set[str]) -> tuple[dict, list[str]]:
     grid = build_grid(cfg)
     constants = build_constants(cfg, grid)
     model = build_action(cfg, constants)
@@ -198,7 +203,7 @@ def _cmd_build(cfg: dict, outdir: str, formats: set[str]) -> tuple[int, dict, li
     limit = run["max_unitarity_deviation"]
     if limit is not None and kernel.unitarity_deviation > limit:
         failures.append(f"unitarity deviation {kernel.unitarity_deviation:.3e} > {limit:.3e}")
-    return (EXIT_OK if not failures else EXIT_TOLERANCE), results, failures
+    return results, failures
 
 
 _HANDLERS = {
@@ -238,38 +243,34 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.command)
         outdir = args.out if args.out is not None else cfg["output"]["directory"]
-        os.makedirs(outdir, exist_ok=True)
+        _make_output_directory(outdir)
         formats = {args.format} if args.format else set(cfg["output"]["formats"])
-        code, results, failures = _HANDLERS[args.command](cfg, outdir, formats)
+        results, failures = _HANDLERS[args.command](cfg, outdir, formats)
         report = {
             "artifact_version": __version__,
             "command": args.command,
             "config": cfg["raw"],
             "results": results,
-            "pass": code == EXIT_OK,
+            "pass": not failures,
             "failures": failures,
             "wall_time_s": time.perf_counter() - started,
         }
         _write_report(outdir, report)
-    # LinAlgError is a ValueError, so it has to be caught first; nothing in
-    # load_config does linear algebra, so it always comes from the numerics.
-    # An ArithmeticError is a float overflow or division by zero in the
-    # numerics of inputs near the ends of double precision.
-    except (NumericalError, BoundaryError, CriterionError, np.linalg.LinAlgError, ArithmeticError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except NUMERICAL_FAILURES as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     for line in failures:
         print(f"FAIL: {line}", file=sys.stderr)
-    return code
+    return EXIT_TOLERANCE if failures else EXIT_OK
 
 
 def run() -> None:

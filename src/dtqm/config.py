@@ -141,12 +141,13 @@ class _EnumList:
 
 
 def _interval(value, where: str) -> list[float]:
-    """A [lo, hi] pair of numbers with lo < hi, as floats."""
+    """A [lo, hi] pair of numbers with lo < hi as floats (two integers past 2**53 can round to one)."""
     if len(_list(value, where)) != 2 or not all(map(_is_number, value)):
         raise ConfigError(f"'{where}' must be a [lo, hi] pair of numbers")
-    if not value[1] > value[0]:
-        raise ConfigError(f"'{where}' must satisfy lo < hi, got {value}")
-    return [float(value[0]), float(value[1])]
+    lo, hi = float(value[0]), float(value[1])
+    if not hi > lo:
+        raise ConfigError(f"'{where}' must satisfy lo < hi, got {[lo, hi]}")
+    return [lo, hi]
 
 
 @dataclass(frozen=True)
@@ -160,9 +161,10 @@ class _Descending:
             raise ConfigError(f"'{where}' needs at least {self.min_length} values, got {len(value)}")
         if not all(_is_number(v) and v > 0 for v in value):
             raise ConfigError(f"'{where}' must contain positive numbers")
-        if not all(b < a for a, b in zip(value, value[1:])):
+        values = [float(v) for v in value]  # compared as floats, as in _interval
+        if not all(b < a for a, b in zip(values, values[1:])):
             raise ConfigError(f"'{where}' must be strictly descending")
-        return [float(v) for v in value]
+        return values
 
 
 def _time_step(value, where: str):
@@ -355,8 +357,10 @@ def load_config(path: str, command: str) -> dict:
             )
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # bytes that are not UTF-8, or a NUL byte in the path
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("top level of a config must be an object")
 

@@ -13,12 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .action import ActionModel, GaugedAction, StandardAction
-from .classical import (
-    NumericalError,
-    TrajectoryStatus,
-    integrate,
-    invert_momentum,
-)
+from .classical import NUMERICAL_FAILURES, NumericalError, TrajectoryStatus, integrate, invert_momentum
 from .grid import SpatialGrid, apply_gauge_phase, make_gaussian, make_grid, packet_observables
 from .potentials import GaugePhase, Potential
 # evolve is kept in this namespace: perfbench's tracer rebinds dtqm.correspondence.evolve.
@@ -41,7 +36,7 @@ BLOCK_ROWS = 64
 BLOCK_BYTES = 1 << 20
 
 
-class BoundaryError(RuntimeError):
+class BoundaryError(NumericalError):
     """The packet's safety envelope reaches the box edge during the run."""
 
     def __init__(self, step: int, message: str):
@@ -181,6 +176,7 @@ def ehrenfest_run(
 class CorrespondenceReport:
     """Deviation-versus-hbar summary of a sweep.
 
+    ``finest`` is the run of the smallest hbar, or None when that run failed.
     ``errors`` and ``packet_warnings`` are keyed by hbar and list only the
     runs that failed or whose packet make_gaussian flagged.
     """
@@ -251,12 +247,12 @@ def hbar_sweep(
     deviations = []
     errors: dict[float, str] = {}
     packet_warnings: dict[float, tuple[str, ...]] = {}
-    finest = None
     for h, model in zip(hbars, models):
+        finest = None  # so that a failed last (smallest) hbar leaves no finest run
         try:
             grid = _sweep_grid(h, mass, tau, n_points, center)
             finest = _packet_run(model, grid, x0, p0, alpha, track, "analytic")
-        except (BoundaryError, NumericalError, ValueError, ArithmeticError) as exc:
+        except NUMERICAL_FAILURES as exc:
             errors[h] = f"{type(exc).__name__}: {exc}"
             deviations.append(float("nan"))
         else:

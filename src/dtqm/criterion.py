@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import ActionModel
+from .classical import NumericalError
 
 __all__ = ["CriterionReport", "CriterionError", "check_criterion"]
 
@@ -23,7 +24,7 @@ DEFAULT_SAMPLES = 1024
 DEFAULT_TOLERANCE = 1e-8
 
 
-class CriterionError(RuntimeError):
+class CriterionError(NumericalError):
     """Sampling failed: an action evaluator raised (the message carries the
     coordinates), or the sample points or determinants are not finite."""
 

@@ -45,6 +45,20 @@ def test_constants_must_be_positive():
         PhysicalConstants(1.0, 0.1, 0.0)
 
 
+def test_constants_are_frozen_floats_with_value_equality():
+    c = PhysicalConstants(1, 0.5, 2)
+    assert repr(c) == "PhysicalConstants(mass=1.0, time_step=0.5, hbar=2.0)"
+    assert c == PhysicalConstants(1.0, 0.5, 2.0) and c != PhysicalConstants(1.0, 0.5, 3.0)
+    assert c != (1.0, 0.5, 2.0)
+    assert hash(c) == hash(PhysicalConstants(1.0, 0.5, 2.0)) == hash((1.0, 0.5, 2.0))
+    assert all(type(v) is float for v in (c.mass, c.time_step, c.hbar))
+    with pytest.raises(AttributeError):
+        c.hbar = 3.0
+    with pytest.raises(AttributeError):
+        c.extra = 1.0
+    assert c.hbar == 2.0
+
+
 def test_standard_action_values():
     model = StandardAction(constants(tau=0.5), zero_potential())
     assert float(model.s(1.0, 0.0)) == pytest.approx(1.0, abs=1e-15)

@@ -314,6 +314,8 @@ def test_sweep_spacing_underflow_is_a_per_hbar_failure(tmp_path, capsys):
     assert sweep["errors"] == {"5e-324": "ValueError: spacing must be positive, got 0.0"}
     assert all(math.isfinite(d) for d in sweep["max_deviation"][:2])
     assert capsys.readouterr().err.startswith("FAIL: hbar=5e-324: ValueError: spacing must be positive")
+    # sweep_finest.csv is the smallest hbar's run; that run failed, so there is none.
+    assert not os.path.exists(os.path.join(out, "sweep_finest.csv"))
 
 
 def test_sweep_short_hbar_list_is_config_error(tmp_path):
@@ -356,6 +358,86 @@ def test_unwritable_output_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, "sweep.json", sweep_config(str(out), [1.0, 0.5, 0.25]))
     assert main(["sweep", "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith("config error: cannot write output")
+
+
+# Integers past 2**53 that round to one float: load_config compares them as the floats it returns.
+_COLLAPSED_DOMAIN = {"domain": [2**60, 2**60 + 1], "expect": "admissible"}
+_COLLAPSED_HBARS = {"x0": 0.0, "p0": 0.0, "n_steps": 1, "hbar_list": [2**60 + 1, 2**60, 1.0]}
+
+
+def _write_bytes(tmp_path, data):
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, make_config, message",
+    [
+        (
+            "check-action",
+            lambda tmp, out: write_config(tmp, "c.json", _check_action_config(out) | {"run": _COLLAPSED_DOMAIN}),
+            "'run.domain' must satisfy lo < hi, got [1.152921504606847e+18, 1.152921504606847e+18]",
+        ),
+        (
+            "sweep",
+            lambda tmp, out: write_config(tmp, "s.json", sweep_config(out, []) | {"run": _COLLAPSED_HBARS}),
+            "'run.hbar_list' must be strictly descending",
+        ),
+        ("evolve", lambda tmp, out: _write_bytes(tmp, b'{"grid": "\xff"}'), "can't decode byte 0xff"),
+        ("evolve", lambda tmp, out: str(tmp / "config\0.json"), "embedded null byte"),
+        ("evolve", lambda tmp, out: str(tmp / "config\ud800.json"), "surrogates not allowed"),
+        ("evolve", lambda tmp, out: _write_bytes(tmp, b"[" * 100_000), "maximum recursion depth exceeded"),
+    ],
+    ids=[
+        "collapsed_domain",
+        "collapsed_hbar_list",
+        "not_utf8",
+        "nul_in_config_path",
+        "surrogate_in_config_path",
+        "nested_too_deeply",
+    ],
+)
+def test_every_config_fault_is_a_config_error_before_any_output(tmp_path, capsys, command, make_config, message):
+    out = tmp_path / "out"
+    assert main([command, "--config", make_config(tmp_path, str(out))]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ") and message in lines[0], lines
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["out\0put", "out\ud800put"], ids=["nul", "lone_surrogate"])
+@pytest.mark.parametrize("via", ["--out", "output.directory"])
+def test_output_directory_no_file_can_have_is_a_config_error(tmp_path, capsys, name, via):
+    outdir = str(tmp_path / name)
+    payload = _check_action_config(outdir if via == "output.directory" else str(tmp_path / "unused"))
+    argv = ["check-action", "--config", write_config(tmp_path, "check.json", payload)]
+    assert main(argv + (["--out", outdir] if via == "--out" else [])) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: cannot write output: [Errno 22] "), lines
+    assert os.listdir(tmp_path) == ["check.json"]
+
+
+def test_value_error_after_validation_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    import dtqm.cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("degenerate domain [1.0, 1.0]")
+
+    monkeypatch.setattr(dtqm.cli, "check_criterion", broken)
+    cfg = write_config(tmp_path, "check.json", _check_action_config(str(tmp_path / "out")))
+    assert main(["check-action", "--config", cfg]) == 3
+    assert capsys.readouterr().err == "numerical failure: degenerate domain [1.0, 1.0]\n"
+
+
+def test_boundary_and_criterion_errors_are_numerical_errors():
+    from dtqm import BoundaryError, NumericalError
+    from dtqm.classical import NUMERICAL_FAILURES
+
+    for error in (BoundaryError(3, "edge"), CriterionError("sampling")):
+        assert isinstance(error, NumericalError) and isinstance(error, NUMERICAL_FAILURES)
+    assert issubclass(np.linalg.LinAlgError, NUMERICAL_FAILURES)
+    assert issubclass(ZeroDivisionError, NUMERICAL_FAILURES) and issubclass(OverflowError, NUMERICAL_FAILURES)
 
 
 def test_build_reports_kernel_diagnostics(tmp_path):

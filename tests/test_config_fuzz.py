@@ -4,9 +4,11 @@ Every draw is a config for one of the five commands: either valid (each
 block drawn from its schema table, and accepted by ``load_config``), or one
 such config with a single key mutated (a wrong type, an out-of-range value,
 an unknown key or a missing key). Each one runs through ``cli.main``. The
-exit code must be 0, 1, 2 or 3, never 4; exits 2 and 3 print exactly one
-stderr line; no warning and no traceback reaches stderr; a mutation that
-breaks the schema exits 2; and some pinned draws must give one exit code.
+exit code must be 0, 1, 2 or 3, never 4; it is 2 exactly when ``load_config``
+rejects the config, and an exit 2 leaves no output directory; exits 2 and 3
+print exactly one stderr line; no warning and no traceback reaches stderr; a
+mutation that breaks the schema exits 2; and some pinned draws must give one
+exit code.
 """
 
 import contextlib
@@ -78,10 +80,12 @@ def _out_of_range(check) -> list:
     if isinstance(check, config._EnumList):
         return [["bogus"], [check.choices[0], 7]]
     if check is config._interval:
-        return [[1.0, 1.0], [2.0, -2.0], [0.0], [0.0, 1.0, 2.0], [0.0, "1"]]
+        return [[1.0, 1.0], [2.0, -2.0], [0.0], [0.0, 1.0, 2.0], [0.0, "1"], [2**60, 2**60 + 1]]
     if isinstance(check, config._Descending):
         n = check.min_length
-        return [[1.0 + k for k in range(n)], [1.0] * n, [1.0] * (n - 1), [float(n - k) for k in range(n - 1)] + [-1.0]]
+        negative_last = [float(n - k) for k in range(n - 1)] + [-1.0]
+        collapsed = [2**60 + 1, 2**60] + [1.0] * (n - 2)  # integers that round to one float
+        return [[1.0 + k for k in range(n)], [1.0] * n, [1.0] * (n - 1), negative_last, collapsed]
     if check is config._time_step:
         return [0.0, -1.0, "fast", math.inf]
     if isinstance(check, config._Named):
@@ -162,7 +166,7 @@ def _loads(command: str, raw: dict) -> bool:
             json.dump(raw, fh)
         try:
             config.load_config(path, command)
-        except (config.ConfigError, ValueError):
+        except config.ConfigError:
             return False
     return True
 
@@ -208,17 +212,18 @@ def cases(draw):
     return command, raw, 2
 
 
-def _run(command: str, raw: dict) -> tuple[int, str, list]:
-    """Exit code, stderr and the warnings of one ``dtqm`` call in a fresh directory."""
+def _run(command: str, raw: dict) -> tuple[int, str, list, bool]:
+    """Exit code, stderr, warnings and whether the output directory exists after one ``dtqm`` call."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "config.json")
+        path, out = os.path.join(tmp, "config.json"), os.path.join(tmp, "out")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(raw, fh)
         err = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
-            code = main([command, "--config", path, "--out", os.path.join(tmp, "out")])
-    return code, err.getvalue(), [str(w.message) for w in caught]
+            code = main([command, "--config", path, "--out", out])
+        made_output = os.path.exists(out)
+    return code, err.getvalue(), [str(w.message) for w in caught], made_output
 
 
 # The quartic probe one mutation away from a benchmark probe: each of these
@@ -295,6 +300,15 @@ PINNED = {
         _config({"domain": [-1.0, _BIG], "expect": "admissible"}),
     ),
 }
+# Integers past 2**53 that round to one float, which once passed validation and
+# exited 2 only after the output directory existed.
+COLLAPSED = {
+    "domain_of_one_float": ("check-action", _config({"domain": [2**60, 2**60 + 1], "expect": "admissible"})),
+    "hbar_list_of_one_float": (
+        "sweep",
+        _config({"x0": 0.0, "p0": 0.0, "n_steps": 1, "hbar_list": [2**60 + 1, 2**60, 1.0]}, {"n_points": 16}),
+    ),
+}
 
 
 @settings(
@@ -318,11 +332,16 @@ PINNED = {
 @example(case=(*PINNED["sweep_spacing_overflow"], None))
 @example(case=(*PINNED["criterion_overflow"], None))
 @example(case=(*PINNED["criterion_domain_past_the_largest_float"], None))
+@example(case=(*COLLAPSED["domain_of_one_float"], 2))
+@example(case=(*COLLAPSED["hbar_list_of_one_float"], 2))
 def test_every_drawn_config_keeps_the_exit_code_contract(case):
     command, raw, expected = case
-    code, err, caught = _run(command, raw)
+    code, err, caught, made_output = _run(command, raw)
     lines = err.splitlines()
     assert code in (0, 1, 2, 3), err
+    # Only load_config decides a config error, and it does so before any output exists.
+    assert (code == 2) == (not _loads(command, raw)), err
+    assert code != 2 or not made_output, err
     assert caught == [], caught
     assert "Warning" not in err and "Traceback" not in err, err
     if code == 0:
