@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .classical import NUMERICAL_FAILURES, integrate, invert_momentum
-from .config import ConfigError, build_action, build_constants, build_grid, load_config
+from .config import ConfigError, build_action, build_grid, load_config
 from .correspondence import ehrenfest_run, hbar_sweep
 from .criterion import check_criterion
 from .propagator import build_kernel, magic_time_step
@@ -72,8 +72,7 @@ def _make_output_directory(path: str) -> None:
 
 
 def _cmd_check_action(cfg: dict, outdir: str, formats: set[str]) -> tuple[dict, list[str]]:
-    constants = build_constants(cfg, None)
-    model = build_action(cfg, constants)
+    model = build_action(cfg)
     run = cfg["run"]
     report = check_criterion(model, tuple(run["domain"]), run["n_samples"], run["tolerance"])
     results = {"criterion": report.as_dict()}
@@ -87,8 +86,7 @@ def _cmd_check_action(cfg: dict, outdir: str, formats: set[str]) -> tuple[dict, 
 
 def _cmd_evolve(cfg: dict, outdir: str, formats: set[str]) -> tuple[dict, list[str]]:
     grid = build_grid(cfg)
-    constants = build_constants(cfg, grid)
-    model = build_action(cfg, constants)
+    model = build_action(cfg)
     run = cfg["run"]
     series = ehrenfest_run(
         model,
@@ -104,7 +102,7 @@ def _cmd_evolve(cfg: dict, outdir: str, formats: set[str]) -> tuple[dict, list[s
     max_norm_drift = float(np.max(np.abs(series.norm - 1.0)))
     results = {
         "n_steps": run["n_steps"],
-        "tau": constants.time_step,
+        "tau": model.constants.time_step,
         "max_norm_drift": max_norm_drift,
         "max_position_deviation": series.max_position_deviation(),
         "max_momentum_deviation": series.max_momentum_deviation(),
@@ -126,8 +124,7 @@ def _cmd_evolve(cfg: dict, outdir: str, formats: set[str]) -> tuple[dict, list[s
 
 
 def _cmd_classical(cfg: dict, outdir: str, formats: set[str]) -> tuple[dict, list[str]]:
-    constants = build_constants(cfg, None)
-    model = build_action(cfg, constants)
+    model = build_action(cfg)
     run = cfg["run"]
     x_minus1 = run["x_minus1"] if run["x_minus1"] is not None else invert_momentum(model, run["x0"], run["p0"])
     trajectory = integrate(model, run["x0"], x_minus1, run["n_steps"])
@@ -149,12 +146,8 @@ def _cmd_classical(cfg: dict, outdir: str, formats: set[str]) -> tuple[dict, lis
 
 def _cmd_sweep(cfg: dict, outdir: str, formats: set[str]) -> tuple[dict, list[str]]:
     run = cfg["run"]
-
-    def factory(hbar: float):
-        return build_action(cfg, build_constants(cfg, None, hbar_override=hbar))
-
     report = hbar_sweep(
-        factory,
+        build_action(cfg),
         run["hbar_list"],
         run["x0"],
         run["p0"],
@@ -173,8 +166,8 @@ def _cmd_sweep(cfg: dict, outdir: str, formats: set[str]) -> tuple[dict, list[st
 
 def _cmd_build(cfg: dict, outdir: str, formats: set[str]) -> tuple[dict, list[str]]:
     grid = build_grid(cfg)
-    constants = build_constants(cfg, grid)
-    model = build_action(cfg, constants)
+    model = build_action(cfg)
+    constants = model.constants
     run = cfg["run"]
     kernel = build_kernel(grid, model, run["amplitude_mode"])
     # At tau* / q with gcd(q, N) = 1 every eigenvalue has the Gauss-sum magnitude.

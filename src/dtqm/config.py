@@ -21,6 +21,7 @@ from .action import (
     StandardAction,
     VectorPotentialAction2D,
 )
+from .criterion import DEFAULT_SAMPLES, DEFAULT_TOLERANCE, MIN_SAMPLES
 from .grid import SpatialGrid, make_grid
 from .potentials import (
     bilinear_field,
@@ -36,7 +37,7 @@ from .potentials import (
 )
 from .propagator import MAX_POINTS_1D, magic_time_step
 
-__all__ = ["ConfigError", "load_config", "build_grid", "build_constants", "build_action"]
+__all__ = ["ConfigError", "load_config", "build_grid", "build_action"]
 
 
 class ConfigError(Exception):
@@ -272,7 +273,8 @@ _AMPLITUDE_MODE = (_Enum(("analytic", "calibrated")), "analytic")
 _RUN_SCHEMAS = {
     "check-action": (
         {"domain": _interval, "expect": _Enum(("admissible", "inadmissible"))},
-        {"n_samples": (_Integer(16, MAX_SAMPLES), 1024), "tolerance": (_NON_NEGATIVE, 1e-8)},
+        {"n_samples": (_Integer(MIN_SAMPLES, MAX_SAMPLES), DEFAULT_SAMPLES),
+         "tolerance": (_NON_NEGATIVE, DEFAULT_TOLERANCE)},
     ),
     "evolve": (
         {"x0": _NUMBER, "p0": _NUMBER, "n_steps": _Integer(0, MAX_STEPS)},
@@ -318,6 +320,8 @@ _RULES = [
      lambda c: f"'constants.tau' = 'magic' resolves to {_magic_step(c)}, not a positive finite time step"),
     (lambda c: c["command"] != "check-action" and c["action"]["kind"] == "vector_potential_2d",
      lambda c: f"command '{c['command']}' drives 1D actions only"),
+    (lambda c: c["command"] == "sweep" and c["action"]["kind"] not in ("standard", "gauged"),
+     lambda c: "command 'sweep' needs a standard or gauged action (its kernels use the analytic amplitude)"),
     (lambda c: c["run"].get("amplitude_mode") == "analytic" and c["action"]["kind"] not in ("standard", "gauged"),
      lambda c: "analytic amplitude mode needs a standard or gauged action; use 'calibrated'"),
     # build reads the dense matrix for its unitarity defect (and for eigvals off
@@ -386,6 +390,9 @@ def load_config(path: str, command: str) -> dict:
     for broken, message in _RULES:
         if broken(cfg):
             raise ConfigError(message(cfg))
+    # The report keeps 'magic' in cfg["raw"]; every builder sees the number.
+    if cfg["constants"]["tau"] == "magic":
+        cfg["constants"]["tau"] = _magic_step(cfg)
     return cfg
 
 
@@ -394,17 +401,9 @@ def build_grid(cfg: dict) -> SpatialGrid:
     return make_grid(g["n_points"], g["x_min"], g["spacing"])
 
 
-def build_constants(cfg: dict, grid: SpatialGrid | None, hbar_override: float | None = None) -> PhysicalConstants:
+def build_action(cfg: dict):
     c = cfg["constants"]
-    hbar = c["hbar"] if hbar_override is None else hbar_override
-    tau = c["tau"]
-    # load_config accepts 'magic' only where the config has a grid.
-    if tau == "magic":
-        tau = magic_time_step(grid, c["mass"], hbar)
-    return PhysicalConstants(c["mass"], tau, hbar)
-
-
-def build_action(cfg: dict, constants: PhysicalConstants):
+    constants = PhysicalConstants(c["mass"], c["tau"], c["hbar"])
     a = cfg["action"]
     required, make_action = _ACTIONS[a["kind"]]
     parts = dict(a)

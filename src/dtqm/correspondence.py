@@ -7,8 +7,9 @@ deviation shrinking as hbar does; the gauge run verifies that a phase
 difference in the action is invisible in position densities.
 """
 
+import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -206,7 +207,7 @@ def _sweep_grid(hbar: float, mass: float, tau: float, n_points: int, center: flo
 
 
 def hbar_sweep(
-    make_model,
+    model: ActionModel,
     hbars,
     x0: float,
     p0: float,
@@ -214,16 +215,20 @@ def hbar_sweep(
     n_points: int,
     alpha: float = 1.0,
 ) -> CorrespondenceReport:
-    """Run Ehrenfest tracking for each hbar and compare against one classical track.
+    """Run Ehrenfest tracking of one model at each hbar against one classical track.
 
-    ``make_model(hbar)`` must return action models sharing mass, time step,
-    and potential. The classical trajectory never sees hbar, so it is
-    computed once, from the first model, and the runs evolve one after
-    another against it. Each run gets its own grid: the spacing is retuned
-    so the shared time step is that grid's exact-unitarity step, and the
-    packet width alpha sqrt(hbar / 2) shrinks along with hbar. Per-run
-    failures and packet quality flags are recorded and the sweep continues.
+    ``model`` is a StandardAction (or GaugedAction); hbar enters only the
+    kernel's phase, so each run steps a shallow copy of ``model`` whose
+    constants carry that hbar, and ``model`` itself is never changed. The
+    classical trajectory is computed once, from ``model``, and the runs
+    evolve one after another against it. Each run gets its own grid: the
+    spacing is retuned so the model's time step is that grid's
+    exact-unitarity step, and the packet width alpha sqrt(hbar / 2) shrinks
+    along with hbar. Per-run failures and packet quality flags are recorded
+    and the sweep continues.
     """
+    if not isinstance(model, StandardAction):
+        raise ValueError(f"an hbar sweep needs a standard or gauged action, got '{model.kind}'")
     hbars = [float(h) for h in hbars]
     if len(hbars) < 3:
         raise ValueError(f"a sweep needs at least 3 hbar values, got {len(hbars)}")
@@ -232,26 +237,20 @@ def hbar_sweep(
     if any(b >= a for a, b in zip(hbars, hbars[1:])):
         raise ValueError("hbar values must be strictly descending")
 
-    models = [make_model(h) for h in hbars]
-    if models[0].dimension != 1:
-        raise ValueError("sweep models must be one-dimensional")
-    mass = models[0].constants.mass
-    tau = models[0].constants.time_step
-    for m in models[1:]:
-        if abs(m.constants.mass - mass) > 1e-12 * mass or abs(m.constants.time_step - tau) > 1e-12 * tau:
-            raise ValueError("sweep models must share mass and time step")
-
-    track = _classical_track(models[0], x0, p0, n_steps)
+    mass, tau = model.constants.mass, model.constants.time_step
+    track = _classical_track(model, x0, p0, n_steps)
     center = 0.5 * (float(track[0].min()) + float(track[0].max()))
 
     deviations = []
     errors: dict[float, str] = {}
     packet_warnings: dict[float, tuple[str, ...]] = {}
-    for h, model in zip(hbars, models):
+    for h in hbars:
         finest = None  # so that a failed last (smallest) hbar leaves no finest run
         try:
+            quantized = copy.copy(model)
+            quantized.constants = replace(model.constants, hbar=h)
             grid = _sweep_grid(h, mass, tau, n_points, center)
-            finest = _packet_run(model, grid, x0, p0, alpha, track, "analytic")
+            finest = _packet_run(quantized, grid, x0, p0, alpha, track, "analytic")
         except NUMERICAL_FAILURES as exc:
             errors[h] = f"{type(exc).__name__}: {exc}"
             deviations.append(float("nan"))

@@ -7,7 +7,7 @@ checker samples that determinant on a deterministic stratified grid of
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -20,6 +20,7 @@ __all__ = ["CriterionReport", "CriterionError", "check_criterion"]
 # reported absolutely instead of relatively.
 DEGENERATE_MEAN = 1e-14
 
+MIN_SAMPLES = 16
 DEFAULT_SAMPLES = 1024
 DEFAULT_TOLERANCE = 1e-8
 
@@ -41,16 +42,7 @@ class CriterionReport:
     trace_linearized: float | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "det_min": self.det_min,
-            "det_max": self.det_max,
-            "det_mean": self.det_mean,
-            "relative_spread": self.relative_spread,
-            "is_constant": self.is_constant,
-            "tolerance": self.tolerance,
-            "trace_linearized": self.trace_linearized,
-        }
+        return asdict(self)
 
 
 def _midpoints(lo: float, hi: float, m: int) -> np.ndarray:
@@ -102,8 +94,8 @@ def check_criterion(
     the mixed block's trace less its kinetic part, which the linearized
     criterion requires to vanish. It is None for 1D actions.
     """
-    if n_samples < 16:
-        raise ValueError(f"n_samples must be at least 16, got {n_samples}")
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"n_samples must be at least {MIN_SAMPLES}, got {n_samples}")
     # Overflow is not reported as a warning: the samples and the summary are checked.
     with np.errstate(over="ignore", invalid="ignore"):
         xs, ys = _sample_pairs(model.dimension, domain, n_samples)

@@ -138,10 +138,8 @@ def test_acceptance_05_ehrenfest_tracking():
 def test_acceptance_06_hbar_sweep_existence_trend():
     """Quartic-potential deviation from the classical track shrinks with hbar."""
 
-    def factory(hbar):
-        return StandardAction(PhysicalConstants(MASS, 0.1, hbar), quartic_potential(0.1))
-
-    report = hbar_sweep(factory, [1.0, 0.5, 0.25, 0.125], 1.0, 0.0, 30, 256)
+    model = StandardAction(PhysicalConstants(MASS, 0.1, HBAR), quartic_potential(0.1))
+    report = hbar_sweep(model, [1.0, 0.5, 0.25, 0.125], 1.0, 0.0, 30, 256)
     assert report.errors == {}
     devs = report.max_deviation
     assert all(b <= a + 1e-6 for a, b in zip(devs, devs[1:])), devs

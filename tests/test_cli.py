@@ -343,6 +343,20 @@ def test_sweep_rejects_2d_action(tmp_path, capsys):
     assert "drives 1D actions only" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "action",
+    [{"kind": "quartic", "potential": {"name": "zero"}, "epsilon": 0.01}, {"kind": "sine", "strength": 1.0}],
+)
+def test_sweep_of_a_probe_action_is_config_error(tmp_path, capsys, action):
+    out = tmp_path / "out"
+    payload = sweep_config(str(out), [1.0, 0.5, 0.25]) | {"action": action}
+    assert main(["sweep", "--config", write_config(tmp_path, "sweep.json", payload)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: command 'sweep' needs a standard or gauged action (its kernels use the analytic amplitude)"
+    ]
+    assert not out.exists()
+
+
 def test_unwritable_output_is_config_error(tmp_path, capsys):
     # An existing file where the output directory should go: exit 2, one line, no traceback.
     blocker = tmp_path / "taken"
@@ -899,12 +913,17 @@ def test_build_calls_eigvals_only_off_the_gauss_sum(tmp_path, monkeypatch, actio
 
 def test_build_of_a_family_subclass_calls_eigvals(tmp_path, monkeypatch):
     import dtqm.cli
-    from dtqm import StandardAction, harmonic_potential
+    from dtqm import StandardAction
+    from dtqm.config import build_action
 
     class Subclass(StandardAction):
         pass
 
-    monkeypatch.setattr(dtqm.cli, "build_action", lambda cfg, c: Subclass(c, harmonic_potential(1.0, 1.0)))
+    def build_subclass(cfg):
+        model = build_action(cfg)
+        return Subclass(model.constants, model.potential)
+
+    monkeypatch.setattr(dtqm.cli, "build_action", build_subclass)
     calls = _count_eigvals(monkeypatch)
     out = str(tmp_path / "out")
     cfg = write_config(tmp_path, "build.json", _build32_config(out, HARMONIC))

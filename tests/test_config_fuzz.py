@@ -271,12 +271,8 @@ PINNED = {
         _config({"x0": 0.0, "p0": 0.0, "n_steps": 2, "alpha": 5e-324}, _grid(16, -4.0)),
     ),
     "probe_gradient_overflow": (
-        "sweep",
-        _config(
-            {"x0": 0.0, "p0": -1e150, "n_steps": 1, "hbar_list": [1.0, 0.5, 0.25]},
-            {"n_points": 16},
-            _QUARTIC | {"epsilon": 1e-150},
-        ),
+        "classical",
+        _config({"x0": 0.0, "p0": -1e150, "n_steps": 1}, action=_QUARTIC | {"epsilon": 1e-150}),
     ),
     "sweep_spacing_underflow": (
         "sweep",
@@ -309,6 +305,15 @@ COLLAPSED = {
         _config({"x0": 0.0, "p0": 0.0, "n_steps": 1, "hbar_list": [2**60 + 1, 2**60, 1.0]}, {"n_points": 16}),
     ),
 }
+# A sweep of a probe action, which once passed validation and then failed every run.
+PROBE_SWEEP = (
+    "sweep",
+    _config(
+        {"x0": 1.0, "p0": 0.0, "n_steps": 30, "hbar_list": [1.0, 0.5, 0.25]},
+        {"n_points": 64},
+        {"kind": "sine", "strength": 1.0},
+    ),
+)
 
 
 @settings(
@@ -334,6 +339,7 @@ COLLAPSED = {
 @example(case=(*PINNED["criterion_domain_past_the_largest_float"], None))
 @example(case=(*COLLAPSED["domain_of_one_float"], 2))
 @example(case=(*COLLAPSED["hbar_list_of_one_float"], 2))
+@example(case=(*PROBE_SWEEP, 2))
 def test_every_drawn_config_keeps_the_exit_code_contract(case):
     command, raw, expected = case
     code, err, caught, made_output = _run(command, raw)

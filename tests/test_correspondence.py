@@ -12,6 +12,7 @@ from dtqm import (
     BoundaryError,
     NumericalError,
     PhysicalConstants,
+    QuarticAction,
     StandardAction,
     build_kernel,
     ehrenfest_run,
@@ -88,15 +89,14 @@ def test_momentum_correspondence():
     assert series.p_classical[0] == pytest.approx(0.3, abs=1e-12)
 
 
-def quartic_factory(tau):
-    def factory(hbar):
-        return StandardAction(PhysicalConstants(1.0, tau, hbar), quartic_potential(0.1))
-
-    return factory
+def quartic_model(tau):
+    return StandardAction(PhysicalConstants(1.0, tau, HBAR), quartic_potential(0.1))
 
 
 def test_hbar_sweep_quartic_deviation_shrinks():
-    report = hbar_sweep(quartic_factory(0.1), [1.0, 0.5, 0.25, 0.125], 1.0, 0.0, 30, 256)
+    model = quartic_model(0.1)
+    constants = model.constants
+    report = hbar_sweep(model, [1.0, 0.5, 0.25, 0.125], 1.0, 0.0, 30, 256)
     assert report.errors == {}
     assert report.monotone_flag
     devs = report.max_deviation
@@ -106,40 +106,36 @@ def test_hbar_sweep_quartic_deviation_shrinks():
     assert len(report.finest.steps) == 31
     # The finest run is measured against the one track the sweep shares.
     assert report.max_deviation[-1] == report.finest.max_position_deviation()
-    model = quartic_factory(0.1)(1.0)
+    # Each run steps a re-quantized copy: the caller's model keeps its constants.
+    assert model.constants is constants and model.constants.hbar == HBAR
     track = integrate(model, 1.0, invert_momentum(model, 1.0, 0.0), 30)
     assert np.array_equal(report.finest.x_classical, track.positions)
 
 
 def test_hbar_sweep_harmonic_is_flat_and_small():
-    def factory(hbar):
-        return StandardAction(PhysicalConstants(1.0, 0.1, hbar), harmonic_potential(1.0, 1.0))
-
-    report = hbar_sweep(factory, [1.0, 0.5, 0.25], 0.8, 0.0, 30, 256)
+    model = StandardAction(PhysicalConstants(1.0, 0.1, HBAR), harmonic_potential(1.0, 1.0))
+    report = hbar_sweep(model, [1.0, 0.5, 0.25], 0.8, 0.0, 30, 256)
     assert report.errors == {}
     assert all(d < 1e-3 for d in report.max_deviation)
 
 
 def test_hbar_sweep_preconditions():
     with pytest.raises(ValueError):
-        hbar_sweep(quartic_factory(0.1), [1.0, 0.5], 1.0, 0.0, 10, 128)
+        hbar_sweep(quartic_model(0.1), [1.0, 0.5], 1.0, 0.0, 10, 128)
     with pytest.raises(ValueError):
-        hbar_sweep(quartic_factory(0.1), [0.5, 1.0, 0.25], 1.0, 0.0, 10, 128)
+        hbar_sweep(quartic_model(0.1), [0.5, 1.0, 0.25], 1.0, 0.0, 10, 128)
     with pytest.raises(ValueError):
-        hbar_sweep(quartic_factory(0.1), [1.0, -0.5, 0.25], 1.0, 0.0, 10, 128)
-
-    def inconsistent(hbar):
-        return StandardAction(PhysicalConstants(1.0, 0.1 * hbar, hbar), zero_potential())
-
-    with pytest.raises(ValueError):
-        hbar_sweep(inconsistent, [1.0, 0.5, 0.25], 1.0, 0.0, 10, 128)
+        hbar_sweep(quartic_model(0.1), [1.0, -0.5, 0.25], 1.0, 0.0, 10, 128)
+    probe = QuarticAction(PhysicalConstants(1.0, 0.1, HBAR), quartic_potential(0.1), 0.01)
+    with pytest.raises(ValueError, match="standard or gauged"):
+        hbar_sweep(probe, [1.0, 0.5, 0.25], 1.0, 0.0, 10, 128)
 
 
 def test_hbar_sweep_records_per_run_errors_and_continues():
     # Tiny lattice: the retuned boxes are too small for the classical
     # excursion, so every run fails the boundary estimate but the sweep
     # still returns a report.
-    report = hbar_sweep(quartic_factory(0.1), [1.0, 0.5, 0.25], 2.0, 0.0, 30, 64)
+    report = hbar_sweep(quartic_model(0.1), [1.0, 0.5, 0.25], 2.0, 0.0, 30, 64)
     assert len(report.errors) > 0
     assert not report.monotone_flag
     assert any(math.isnan(d) for d in report.max_deviation)
@@ -153,7 +149,7 @@ def test_hbar_sweep_inverts_the_momentum_map_once(monkeypatch):
         return invert_momentum(*args, **kwargs)
 
     monkeypatch.setattr(dtqm.correspondence, "invert_momentum", counted)
-    report = hbar_sweep(quartic_factory(0.1), [1.0, 0.5, 0.25], 1.0, 0.0, 20, 128)
+    report = hbar_sweep(quartic_model(0.1), [1.0, 0.5, 0.25], 1.0, 0.0, 20, 128)
     assert report.errors == {}
     assert len(calls) == 1
 
@@ -276,13 +272,13 @@ def test_non_finite_amplitudes_are_a_numerical_error(monkeypatch):
 def test_hbar_sweep_reports_packet_warnings():
     # sigma / dx = alpha sqrt(m N / (4 pi tau)) is the same for every hbar of
     # a sweep, so alpha = 0.1 under-resolves every run.
-    report = hbar_sweep(quartic_factory(0.1), [1.0, 0.5, 0.25], 1.0, 0.0, 30, 256, alpha=0.1)
+    report = hbar_sweep(quartic_model(0.1), [1.0, 0.5, 0.25], 1.0, 0.0, 30, 256, alpha=0.1)
     assert report.errors == {}
     assert sorted(report.packet_warnings) == [0.25, 0.5, 1.0]
     for flags in report.packet_warnings.values():
         assert len(flags) == 1 and "below resolvable limit" in flags[0]
     assert report.as_dict()["packet_warnings"]["0.25"] == list(report.packet_warnings[0.25])
-    clean = hbar_sweep(quartic_factory(0.1), [1.0, 0.5, 0.25], 1.0, 0.0, 30, 256)
+    clean = hbar_sweep(quartic_model(0.1), [1.0, 0.5, 0.25], 1.0, 0.0, 30, 256)
     assert clean.packet_warnings == {} and clean.as_dict()["packet_warnings"] == {}
 
 
