@@ -49,7 +49,6 @@ from .grid import (
     apply_gauge_phase,
     make_gaussian,
     make_grid,
-    make_grid_2d,
     momentum_matrix,
     packet_observables,
 )

@@ -178,8 +178,8 @@ def _cmd_build(cfg: dict, outdir: str, formats: set[str]) -> tuple[dict, list[st
     else:
         eig_min = eig_max = magnitude
     results = {
-        "n_points": grid.n_total,
-        "spacing": grid.spacing[0],
+        "n_points": grid.n_points,
+        "spacing": grid.spacing,
         "tau": constants.time_step,
         "magic_tau": magic_time_step(grid, constants.mass, constants.hbar),
         "amplitude_mode": run["amplitude_mode"],

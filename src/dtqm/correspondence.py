@@ -101,8 +101,8 @@ def _packet_run(
     x_classical, p_classical = track
     hbar = model.constants.hbar
     sigma = alpha * math.sqrt(hbar / 2.0)
-    lo = grid.x_min[0]
-    hi = lo + grid.extent[0]
+    lo = grid.x_min
+    hi = lo + grid.extent
     outside = (x_classical - BOUNDARY_SIGMAS * sigma < lo) | (x_classical + BOUNDARY_SIGMAS * sigma > hi)
     if outside.any():
         n = int(np.argmax(outside))
@@ -110,9 +110,9 @@ def _packet_run(
 
     kernel = build_kernel(grid, model, amplitude_mode)
     n_record = len(x_classical)
-    row_bytes = grid.n_total * np.dtype(complex).itemsize
+    row_bytes = grid.n_points * np.dtype(complex).itemsize
     n_rows = max(1, min(BLOCK_ROWS, BLOCK_BYTES // row_bytes, n_record))
-    block = np.empty((n_rows, grid.n_total), dtype=complex)
+    block = np.empty((n_rows, grid.n_points), dtype=complex)
     pieces = []
     # Overflow is not reported as a warning: make_gaussian checks the initial
     # packet's norm (a width that underflows divides by zero), and every row's
@@ -167,7 +167,7 @@ def ehrenfest_run(
     The exact-unitarity time step is the intended operating point; other
     steps are allowed but exact norm preservation is then lost.
     """
-    if model.dimension != 1 or grid.dimension != 1:
+    if model.dimension != 1:
         raise ValueError("ehrenfest runs are one-dimensional")
     track = _classical_track(model, x0, p0, n_steps)
     return _packet_run(model, grid, x0, p0, alpha, track, amplitude_mode)

@@ -1,16 +1,18 @@
-"""One-step evolution kernels built from an action's phase.
+"""One-step evolution kernels built from an action's phase, on a 1D lattice.
 
 The kernel matrix is U_jk = w A exp(i S(x_j, x_k) / hbar) with w the cell
-weight, so every entry has the same magnitude w |A| and all structure lives
-in the phase. For the 1D standard/gauged family the phase splits into
+weight (the spacing), so every entry has the same magnitude w |A| and all
+structure lives in the phase. Kernels are built for 1D actions only; the 2D
+vector-potential action enters through the criterion and the classical
+solver. For the standard/gauged family the phase splits into
 diagonal potential/gauge terms and a kinetic term that depends on j - k
 only, so U = diag(left) K diag(right) with K a Toeplitz chirp; those kernels
 are applied by FFT, on any number of points: one size-N FFT at tau* / q,
 where K is a chirped DFT, and a size-2N pair otherwise. Every other kernel
-is applied as a dense matrix. The dense matrix and the unitarity defect are built on
-first read, up to MAX_POINTS_1D points in 1D. Unitarity is
-quantified by the max-row-sum norm of U U^dagger - I, which bounds the
-worst-case action on normalized states.
+(the probes) is applied as a dense matrix. The dense matrix and the
+unitarity defect are built on first read, up to MAX_POINTS_1D points.
+Unitarity is quantified by the max-row-sum norm of U U^dagger - I, which
+bounds the worst-case action on normalized states.
 
 At tau* / q with gcd(q, N) = 1 the chirped DFT is sqrt(N) times a unitary,
 so U is w |A| sqrt(N) times a unitary and every eigenvalue has that
@@ -38,13 +40,13 @@ __all__ = [
     "momentum_identity_residual",
 ]
 
-# Dense N x N limits: the kernel matrix, calibration and every 2D kernel.
+# Size limits of the dense N x N work (the kernel matrix and calibration) and of the path sum.
 MAX_POINTS_1D = 1024
-MAX_POINTS_PER_AXIS_2D = 48
 PATHSUM_MAX_POINTS = 64
 # Relative distance of N a / pi from an integer q below which the kinetic
-# factor is taken as the exact chirped DFT of tau = tau* / q.
-MAGIC_TOLERANCE = 1e-12
+# factor is taken as the exact chirped DFT of tau = tau* / q: rounding level,
+# so a snapped kernel is the kernel from S at the configured step to roundoff.
+MAGIC_TOLERANCE = 8 * np.finfo(float).eps
 
 
 class PropagatorKernel:
@@ -83,7 +85,7 @@ class PropagatorKernel:
             # temporary in place, and that loop rounds differently in the last bit.
             phases = _finite(_phase_matrix(self.grid, self.model))
             with np.errstate(over="ignore", invalid="ignore"):  # as in build_kernel
-                matrix = self.grid.weight * self.amplitude * phases
+                matrix = self.grid.spacing * self.amplitude * phases
             matrix.flags.writeable = False
             self._matrix = matrix
         return self._matrix
@@ -110,7 +112,7 @@ class PropagatorKernel:
         return {
             "apply": self.apply_path,
             "q": self.q,
-            "gcd_q_n": math.gcd(self.q, self.grid.n_total) if magic else None,
+            "gcd_q_n": math.gcd(self.q, self.grid.n_points) if magic else None,
             "q_offset": self.q_raw / self.q - 1.0 if magic else None,
         }
 
@@ -122,10 +124,10 @@ class PropagatorKernel:
         is unitary, and so is U / (w |A| sqrt(N)): |left| = w |A| and
         |right| = 1 (see _kernel_factors).
         """
-        n = self.grid.n_total
+        n = self.grid.n_points
         if self.q is None or math.gcd(self.q, n) != 1:
             return None
-        return self.grid.weight * abs(self.amplitude) * math.sqrt(n)
+        return self.grid.spacing * abs(self.amplitude) * math.sqrt(n)
 
     def apply(self, amplitudes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """U v, by FFT when the kernel has factors and as a dense matvec otherwise.
@@ -159,10 +161,7 @@ def magic_time_step(grid: SpatialGrid, mass: float, hbar: float) -> float:
     is pi (j - k)^2 / N; the cross terms in U U^dagger then reduce to plain
     geometric sums that cancel exactly for j != k, for every N.
     """
-    values = [mass * grid.spacing[a] * grid.extent[a] / (2.0 * math.pi * hbar) for a in range(grid.dimension)]
-    if grid.dimension == 2 and abs(values[0] - values[1]) > 1e-12 * max(values):
-        raise ValueError(f"axes disagree on the exact-unitarity step: {values[0]} vs {values[1]}")
-    return values[0]
+    return mass * grid.spacing * grid.extent / (2.0 * math.pi * hbar)
 
 
 def analytic_amplitude(model: ActionModel) -> complex:
@@ -181,20 +180,16 @@ def unitarity_defect(matrix: np.ndarray) -> float:
 
 
 def _phase_matrix(grid: SpatialGrid, model: ActionModel) -> np.ndarray:
+    x = grid.points
     # Overflow is not reported as a warning: callers check that phases are finite.
     with np.errstate(over="ignore", invalid="ignore"):
-        if grid.dimension == 1:
-            x = grid.coordinates[:, 0]
-            action = model.s(x[:, None], x[None, :])
-        else:
-            pts = grid.coordinates
-            action = model.s(pts[:, None, :], pts[None, :, :])
+        action = model.s(x[:, None], x[None, :])
         return np.exp(1j * np.asarray(action, dtype=float) / model.constants.hbar)
 
 
 def _require_dense_size(grid: SpatialGrid) -> None:
-    if grid.dimension == 1 and grid.n_total > MAX_POINTS_1D:
-        raise ValueError(f"dense 1D kernels are limited to {MAX_POINTS_1D} points, got {grid.n_total}")
+    if grid.n_points > MAX_POINTS_1D:
+        raise ValueError(f"dense 1D kernels are limited to {MAX_POINTS_1D} points, got {grid.n_points}")
 
 
 def _finite(phases: np.ndarray) -> np.ndarray:
@@ -221,15 +216,15 @@ def _kernel_factors(grid: SpatialGrid, model: StandardAction, amplitude: complex
     and q is returned as None. ``q_raw`` is N a / pi as computed, before the snap.
     """
     c = model.constants
-    n = grid.n_total
-    x = grid.coordinates[:, 0]
-    a = c.mass * grid.spacing[0] ** 2 / (2.0 * c.time_step * c.hbar)
+    n = grid.n_points
+    x = grid.points
+    a = c.mass * grid.spacing ** 2 / (2.0 * c.time_step * c.hbar)
     q = n * a / math.pi
     # As in _phase_matrix, overflow is left to the finiteness checks below.
     with np.errstate(over="ignore", invalid="ignore"):
         half = 0.5 * np.asarray(model.s(x, x), dtype=float)
         gauge = np.asarray(model.phase.phi(x), dtype=float) if isinstance(model, GaugedAction) else 0.0
-        left = grid.weight * amplitude * _finite(np.exp(1j * (half + gauge) / c.hbar))
+        left = grid.spacing * amplitude * _finite(np.exp(1j * (half + gauge) / c.hbar))
         right = _finite(np.exp(1j * (half - gauge) / c.hbar))
         whole = round(q) if math.isfinite(q) else 0
         if whole >= 1 and abs(q - whole) <= MAGIC_TOLERANCE * q:
@@ -241,7 +236,7 @@ def _kernel_factors(grid: SpatialGrid, model: StandardAction, amplitude: complex
             rows = None if whole % n == 1 else (whole % n) * j % n
             magic_q = whole
         else:
-            d = np.arange(n) * grid.spacing[0]
+            d = np.arange(n) * grid.spacing
             kin = _finite(np.exp(1j * c.mass * d * d / (2.0 * c.time_step * c.hbar)))
             spectrum = np.fft.fft(np.concatenate([kin, [0.0], kin[:0:-1]]))
             rows = None
@@ -279,18 +274,14 @@ def build_kernel(grid: SpatialGrid, model: ActionModel, amplitude_mode: str = "a
     inadmissible probes (whose deviation stays large no matter the
     magnitude), and builds the dense matrix up front.
 
-    1D standard/gauged kernels store FFT factors and are applied by FFT in
+    Standard/gauged kernels store FFT factors and are applied by FFT in
     either mode; every other kernel is applied as its dense matrix. Analytic
-    1D kernels have no size limit; calibration and the dense matrix are
-    limited to MAX_POINTS_1D points. A non-finite kernel phase raises
-    NumericalError.
+    kernels have no size limit; calibration and the dense matrix are
+    limited to MAX_POINTS_1D points. A 2D action raises ValueError, and a
+    non-finite kernel phase NumericalError.
     """
-    if grid.dimension != model.dimension:
-        raise ValueError(f"grid dimension {grid.dimension} != action dimension {model.dimension}")
-    if grid.dimension == 2 and max(grid.shape) > MAX_POINTS_PER_AXIS_2D:
-        raise ValueError(
-            f"2D kernels are limited to {MAX_POINTS_PER_AXIS_2D} points per axis, got {grid.shape}"
-        )
+    if model.dimension != 1:
+        raise ValueError(f"kernels are built on a 1D lattice, got a {model.dimension}D action")
     reference = analytic_amplitude(model)
     phases = calibration = None
     if amplitude_mode == "analytic":
@@ -302,7 +293,7 @@ def build_kernel(grid: SpatialGrid, model: ActionModel, amplitude_mode: str = "a
     elif amplitude_mode == "calibrated":
         _require_dense_size(grid)
         phases = _finite(_phase_matrix(grid, model))
-        magnitude, r, at_edge = _calibrate_magnitude(phases, grid.weight, abs(reference))
+        magnitude, r, at_edge = _calibrate_magnitude(phases, grid.spacing, abs(reference))
         amplitude = (reference / abs(reference)) * magnitude
         calibration = {"offdiag_row_sum": r, "at_bracket_edge": at_edge}
     else:
@@ -312,7 +303,7 @@ def build_kernel(grid: SpatialGrid, model: ActionModel, amplitude_mode: str = "a
     # Overflow of the weight times the amplitude is not reported as a warning:
     # eigvals and the packet checks refuse a non-finite matrix.
     with np.errstate(over="ignore", invalid="ignore"):
-        matrix = None if phases is None else grid.weight * amplitude * phases
+        matrix = None if phases is None else grid.spacing * amplitude * phases
     return PropagatorKernel(grid, model, amplitude, factors, matrix, calibration, q, q_raw)
 
 
@@ -321,12 +312,6 @@ def evolve(kernel: PropagatorKernel, psi: WaveState) -> WaveState:
     if psi.grid != kernel.grid:
         raise ValueError("state and kernel live on different grids")
     return WaveState(kernel.grid, kernel.apply(psi.amplitudes), psi.warnings)
-
-
-def _point(grid: SpatialGrid, index: int):
-    if grid.dimension == 1:
-        return float(grid.axis_points(0)[index])
-    return grid.coordinates[index]
 
 
 def multi_step_pathsum(kernel: PropagatorKernel, k_steps: int, x_initial_index: int, x_final_index: int) -> complex:
@@ -339,15 +324,15 @@ def multi_step_pathsum(kernel: PropagatorKernel, k_steps: int, x_initial_index: 
     (final, initial) element of the k-th matrix power.
     """
     grid = kernel.grid
-    if grid.n_total > PATHSUM_MAX_POINTS:
-        raise ValueError(f"path sum limited to {PATHSUM_MAX_POINTS} grid points, got {grid.n_total}")
+    if grid.n_points > PATHSUM_MAX_POINTS:
+        raise ValueError(f"path sum limited to {PATHSUM_MAX_POINTS} grid points, got {grid.n_points}")
     if not 1 <= k_steps <= 3:
         raise ValueError(f"k_steps must be 1, 2, or 3, got {k_steps}")
     model = kernel.model
     hbar = model.constants.hbar
-    n = grid.n_total
-    x_i = _point(grid, x_initial_index)
-    x_f = _point(grid, x_final_index)
+    xs = grid.points.tolist()
+    x_i = xs[x_initial_index]
+    x_f = xs[x_final_index]
 
     def step_phase(a, b) -> complex:
         return cmath.exp(1j * float(model.s(a, b)) / hbar)
@@ -356,18 +341,15 @@ def multi_step_pathsum(kernel: PropagatorKernel, k_steps: int, x_initial_index: 
         total = step_phase(x_f, x_i)
     elif k_steps == 2:
         total = 0.0 + 0.0j
-        for m in range(n):
-            x_m = _point(grid, m)
+        for x_m in xs:
             total += step_phase(x_f, x_m) * step_phase(x_m, x_i)
     else:
         total = 0.0 + 0.0j
-        for m1 in range(n):
-            x_m1 = _point(grid, m1)
+        for x_m1 in xs:
             left = step_phase(x_f, x_m1)
-            for m2 in range(n):
-                x_m2 = _point(grid, m2)
+            for x_m2 in xs:
                 total += left * step_phase(x_m1, x_m2) * step_phase(x_m2, x_i)
-    return (grid.weight**k_steps) * (kernel.amplitude**k_steps) * total
+    return (grid.spacing**k_steps) * (kernel.amplitude**k_steps) * total
 
 
 def momentum_identity_residual(kernel: PropagatorKernel, psi_test: WaveState) -> float:
@@ -380,12 +362,10 @@ def momentum_identity_residual(kernel: PropagatorKernel, psi_test: WaveState) ->
     P, so a broad packet on a fine grid is the intended test state.
     """
     grid = kernel.grid
-    if grid.dimension != 1:
-        raise ValueError("the momentum identity check is one-dimensional")
     if psi_test.grid != grid:
         raise ValueError("test state and kernel live on different grids")
     model = kernel.model
-    x = grid.axis_points(0)
+    x = grid.points
     grad_y = np.asarray(model.ds_dy(x[:, None], x[None, :]), dtype=float)
     d_matrix = kernel.matrix.conj().T @ (grad_y * kernel.matrix)
     p_matrix = momentum_matrix(grid, model.constants.hbar)

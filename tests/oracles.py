@@ -14,7 +14,7 @@ import numpy as np
 
 def inner(a, b) -> complex:
     """Quadrature inner product <a|b>; conjugates the first argument."""
-    return complex(a.grid.weight * np.vdot(a.amplitudes, b.amplitudes))
+    return complex(a.grid.spacing * np.vdot(a.amplitudes, b.amplitudes))
 
 
 def norm(psi) -> float:
@@ -22,24 +22,24 @@ def norm(psi) -> float:
 
 
 def _density(psi) -> np.ndarray:
-    return psi.grid.weight * np.abs(psi.amplitudes) ** 2
+    return psi.grid.spacing * np.abs(psi.amplitudes) ** 2
 
 
 def expect_x(psi) -> float:
     """Mean position of a normalized state."""
-    return float(psi.grid.axis_points(0) @ _density(psi))
+    return float(psi.grid.points @ _density(psi))
 
 
 def expect_p(psi, hbar: float) -> float:
     """Mean momentum from the central difference with periodic wraparound (real part)."""
     a = psi.amplitudes
-    derivative = (np.roll(a, -1) - np.roll(a, 1)) / (2.0 * psi.grid.spacing[0])
-    return float((psi.grid.weight * np.vdot(a, -1j * hbar * derivative)).real)
+    derivative = (np.roll(a, -1) - np.roll(a, 1)) / (2.0 * psi.grid.spacing)
+    return float((psi.grid.spacing * np.vdot(a, -1j * hbar * derivative)).real)
 
 
 def position_spread(psi) -> float:
     """Standard deviation of position of a normalized state."""
-    xs = psi.grid.axis_points(0)
+    xs = psi.grid.points
     dens = _density(psi)
     mean = xs @ dens
     return math.sqrt(max(float((xs * xs) @ dens - mean * mean), 0.0))

@@ -189,7 +189,7 @@ def test_acceptance_09_momentum_identity():
     harmonic_residual = momentum_identity_residual(harmonic, psi)
     assert harmonic_residual < 5e-2, harmonic_residual
     # sign probe: comparing against +P instead of -P leaves an O(1) residual
-    x = grid.axis_points(0)
+    x = grid.points
     grad_y = np.asarray(free.model.ds_dy(x[:, None], x[None, :]), dtype=float)
     d_matrix = free.matrix.conj().T @ (grad_y * free.matrix)
     p = momentum_matrix(grid, HBAR)

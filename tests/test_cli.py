@@ -951,12 +951,13 @@ def test_evolve_reports_its_kernel(tmp_path, tau_share, kernel):
 
 
 @pytest.mark.parametrize("n_points", [32, 39])  # the magic step snaps by 0 and by -3 ulps
-def test_build_reports_the_snap_of_the_magic_step(tmp_path, n_points):
+def test_build_reports_the_snap_of_the_magic_step(tmp_path, monkeypatch, n_points):
     from dtqm import magic_time_step, make_grid
 
     grid = {"n_points": n_points, "x_min": -8.0, "spacing": 16.0 / n_points}
     magic_tau = magic_time_step(make_grid(**grid), 1.0, 1.0)
-    offsets = []
+    calls = _count_eigvals(monkeypatch)
+    kernels = []
     for tau in ("magic", magic_tau * (1.0 + 1e-13)):
         out = str(tmp_path / f"out-{tau}")
         payload = {
@@ -967,12 +968,14 @@ def test_build_reports_the_snap_of_the_magic_step(tmp_path, n_points):
             "output": {"directory": out},
         }
         assert main(["build", "--config", write_config(tmp_path, "build.json", payload)]) == 0
-        kernel = read_report(out)["results"]["kernel"]
-        assert (kernel["apply"], kernel["q"]) == ("chirped_dft", 1)
-        offsets.append(kernel["q_offset"])
-    # q = N a / pi falls as tau grows.
-    assert abs(offsets[0]) <= 4.5e-16
-    assert offsets[1] == pytest.approx(-1e-13, rel=1e-3)
+        kernels.append(read_report(out)["results"]["kernel"])
+    magic, near = kernels
+    assert (magic["apply"], magic["q"], magic["eig_source"]) == ("chirped_dft", 1, "gauss_sum")
+    assert abs(magic["q_offset"]) <= 4.5e-16
+    # 1e-13 off the magic step is past the rounding-level snap: the kernel is
+    # the one S gives at that step, and its spectrum comes from eigvals.
+    assert near == {"apply": "embedding_2n", "q": None, "gcd_q_n": None, "q_offset": None, "eig_source": "eigvals"}
+    assert calls == [(n_points, n_points)]
 
 
 def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):

@@ -296,7 +296,9 @@ def test_harmonic_tracking_past_the_dense_limit():
 
 def test_one_row_blocks_build_the_axis_once(monkeypatch):
     # N=65536: the byte budget leaves one row per block, so packet_observables
-    # runs once per step; the lattice axis is built once for the whole run.
+    # runs once per step; the lattice points are built once for the whole run.
+    from functools import cached_property
+
     from dtqm.grid import SpatialGrid
 
     n = 65536
@@ -304,13 +306,15 @@ def test_one_row_blocks_build_the_axis_once(monkeypatch):
     g = make_grid(n, -8.0, 16.0 / n)
     model = magic_standard(g, harmonic_potential(1.0, 1.0))
     builds = []
-    axis_points = SpatialGrid.axis_points
+    points = SpatialGrid.points.func
 
-    def counting(self, axis=0):
-        builds.append(axis)
-        return axis_points(self, axis)
+    def counting(self):
+        builds.append(1)
+        return points(self)
 
-    monkeypatch.setattr(SpatialGrid, "axis_points", counting)
+    counted = cached_property(counting)
+    counted.__set_name__(SpatialGrid, "points")
+    monkeypatch.setattr(SpatialGrid, "points", counted)
     series = ehrenfest_run(model, g, 0.5, 0.3, 1.0, 5)
     assert len(series.norm) == 6
-    assert len(builds) <= 1
+    assert len(builds) == 1

@@ -1,11 +1,14 @@
-"""The compare logic of ``tools/golden.py``, on two tiny calls.
+"""The compare logic of ``tools/golden.py``, on two tiny calls, and the checked-in GOLDEN.json.
 
-Tier-1 never compares against GOLDEN.json itself: another numpy build may
-move the last bits of the outputs.
+The last test reruns every golden call and holds the outputs to their
+recorded SHA-256, so a change that moves an output fails tier-1. Another
+numpy build may move the last bits of the outputs; GOLDEN.json's header
+names the numpy version and platform it was written with.
 """
 
 import copy
 import importlib.util
+import json
 import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -70,3 +73,10 @@ def test_a_key_added_as_null_is_named():
     assert golden.json_paths({"kernel": {"q": 1}}, {"kernel": {"q": 1, "q_offset": None}}) == ["kernel.q_offset"]
     assert golden.json_paths({"q": None}, {}) == ["q"]
     assert golden.json_paths({"q": None}, {"q": None}) == []
+
+
+def test_checked_in_golden_outputs_reproduce(tmp_path):
+    with open(golden.GOLDEN, encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    actual = golden.run_calls(golden.golden_calls(), str(tmp_path))
+    assert golden.compare(recorded["calls"], actual, None, str(tmp_path)) == []

@@ -18,7 +18,6 @@ from dtqm import (
     apply_gauge_phase,
     make_gaussian,
     make_grid,
-    make_grid_2d,
     momentum_matrix,
     packet_observables,
 )
@@ -53,11 +52,14 @@ def grid128():
 
 def test_make_grid_extent():
     g = grid128()
-    assert g.extent[0] == 16.0
-    assert g.axis_points(0)[-1] == 7.875
+    assert g.extent == 16.0
+    assert g.points[-1] == 7.875
     g4 = make_grid(4, 0.0, 1.0)
-    np.testing.assert_array_equal(g4.axis_points(0), [0.0, 1.0, 2.0, 3.0])
-    assert g4.extent[0] == 4.0
+    np.testing.assert_array_equal(g4.points, [0.0, 1.0, 2.0, 3.0])
+    assert g4.extent == 4.0
+    assert g4.points is g4.points
+    with pytest.raises(ValueError):
+        g4.points[0] = 1.0
 
 
 def test_make_grid_rejects_bad_input():
@@ -67,17 +69,6 @@ def test_make_grid_rejects_bad_input():
         make_grid(8, 0.0, 0.0)
     with pytest.raises(ValueError):
         make_grid(8, 0.0, -0.5)
-
-
-def test_make_grid_2d_row_major_order():
-    g = make_grid_2d((4, 6), (0.0, 10.0), (1.0, 0.5))
-    assert g.dimension == 2
-    assert g.n_total == 24
-    x1 = g.axis_points(0)
-    x2 = g.axis_points(1)
-    # flat index = j1 * n2 + j2
-    np.testing.assert_array_equal(g.coordinates[1 * 6 + 3], [x1[1], x2[3]])
-    assert g.weight == pytest.approx(0.5)
 
 
 def test_wavestate_validates_shape_and_is_readonly():
@@ -134,7 +125,7 @@ def test_expect_x_uniform_state_gives_grid_midpoint():
     g = grid128()
     amps = np.full(128, 1.0 / math.sqrt(16.0), dtype=complex)
     psi = WaveState(g, amps)
-    midpoint = float(np.mean(g.axis_points(0)))
+    midpoint = float(np.mean(g.points))
     assert x_mean(psi) == pytest.approx(midpoint, abs=1e-12)
 
 
@@ -143,7 +134,7 @@ def test_expect_x_offset_gaussian():
     psi = make_gaussian(g, -2.0, 0.0, 1.0, HBAR)
     # independent quadrature of the sampled density
     dens = np.abs(psi.amplitudes) ** 2
-    oracle = float(np.sum(g.axis_points(0) * dens) * 0.125)
+    oracle = float(np.sum(g.points * dens) * 0.125)
     assert x_mean(psi) == pytest.approx(oracle, abs=1e-14)
     assert x_mean(psi) == pytest.approx(-2.0, abs=1e-9)
 
@@ -177,10 +168,10 @@ def test_packet_observables_match_the_single_state_oracles(n, rows, x_min, fill,
     g = make_grid(n, x_min, fill * (10.0 - x_min) / n)
     rng = np.random.default_rng(seed)
     block = rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n))
-    block /= np.sqrt(g.weight * np.sum(np.abs(block) ** 2, axis=1, keepdims=True))
+    block /= np.sqrt(g.spacing * np.sum(np.abs(block) ** 2, axis=1, keepdims=True))
     x, p, spread, norms = packet_observables(block.copy(), g, hbar)
-    x_scale = float(np.max(np.abs(g.axis_points(0))))
-    p_scale = hbar / g.spacing[0]
+    x_scale = float(np.max(np.abs(g.points)))
+    p_scale = hbar / g.spacing
     for r in range(rows):
         psi = WaveState(g, block[r])
         assert abs(x[r] - expect_x(psi)) <= 1e-13 * x_scale
@@ -201,7 +192,7 @@ def test_expect_p_plane_wave_matches_difference_formula():
     g = grid128()
     dx, length = 0.125, 16.0
     p0 = 2.0 * math.pi / length  # one Fourier mode, about 0.3927
-    xs = g.axis_points(0)
+    xs = g.points
     psi = WaveState(g, np.exp(1j * p0 * xs / HBAR) / math.sqrt(length))
     expected = HBAR * math.sin(p0 * dx / HBAR) / dx
     assert p_mean(psi) == pytest.approx(expected, abs=1e-12)
@@ -232,7 +223,7 @@ def test_expect_p_matches_momentum_matrix():
     g = make_grid(64, -4.0, 0.125)
     psi = make_gaussian(g, 0.3, 0.7, 1.0, HBAR)
     p = momentum_matrix(g, HBAR)
-    direct = (g.weight * np.vdot(psi.amplitudes, p @ psi.amplitudes))
+    direct = (g.spacing * np.vdot(psi.amplitudes, p @ psi.amplitudes))
     assert abs(direct.imag) < 1e-9
     assert p_mean(psi) == pytest.approx(direct.real, abs=1e-13)
 
@@ -258,7 +249,7 @@ def test_make_gaussian_uncertainty_product():
     psi = make_gaussian(g, 0.0, 0.0, 1.0, HBAR)
     p = momentum_matrix(g, HBAR)
     p_psi = p @ psi.amplitudes
-    p_sq = (g.weight * np.vdot(p_psi, p_psi)).real
+    p_sq = (g.spacing * np.vdot(p_psi, p_psi)).real
     dp = math.sqrt(p_sq - p_mean(psi) ** 2)
     product = x_spread(psi) * dp
     assert product == pytest.approx(HBAR / 2.0, rel=0.02)
@@ -280,11 +271,6 @@ def test_make_gaussian_that_cannot_be_normalized_is_a_floating_point_error():
     # A packet far outside the box underflows to zero everywhere.
     with pytest.raises(FloatingPointError, match="cannot be normalized"):
         make_gaussian(grid128(), 1e3, 0.0, 1.0, HBAR)
-
-
-def test_make_gaussian_rejects_a_2d_grid():
-    with pytest.raises(ValueError, match="one-dimensional"):
-        make_gaussian(make_grid_2d(8, -1.0, 0.25), 0.0, 0.0, 1.0, HBAR)
 
 
 def test_apply_gauge_phase_zero_is_identity():

@@ -23,7 +23,6 @@ from dtqm import (
     magic_time_step,
     make_gaussian,
     make_grid,
-    make_grid_2d,
     momentum_identity_residual,
     multi_step_pathsum,
     quadratic_phase,
@@ -53,8 +52,6 @@ def test_magic_time_step_value_and_scalings():
     assert magic_time_step(fine, 1.0, HBAR) == pytest.approx(0.5 / math.pi, abs=1e-15)
     # linear in the mass
     assert magic_time_step(g, 2.0, HBAR) == pytest.approx(2.0 / math.pi, abs=1e-15)
-    with pytest.raises(ValueError):
-        magic_time_step(make_grid_2d((8, 8), 0.0, (0.5, 0.25)), 1.0, HBAR)
 
 
 def test_gauss_sum_oracle_small():
@@ -83,7 +80,7 @@ def test_analytic_kernel_at_magic_step():
 def test_kernel_entries_have_constant_magnitude():
     g = grid128()
     kernel = build_kernel(g, magic_model(g, harmonic_potential(1.0, 1.0)), "analytic")
-    expected = g.weight * abs(kernel.amplitude)
+    expected = g.spacing * abs(kernel.amplitude)
     np.testing.assert_allclose(np.abs(kernel.matrix), expected, rtol=1e-12)
     with pytest.raises(ValueError):
         kernel.matrix[0, 0] = 0.0
@@ -140,7 +137,7 @@ def test_calibration_at_a_third_of_the_magic_step_is_the_gauss_sum_amplitude(n):
     g = make_grid(n, -8.0, 16.0 / n)
     third, half = third_and_half_magic_models(g)
     kernel = build_kernel(g, third, "calibrated")
-    assert abs(kernel.amplitude) == pytest.approx(1.0 / (g.weight * math.sqrt(n)), rel=1e-12)
+    assert abs(kernel.amplitude) == pytest.approx(1.0 / (g.spacing * math.sqrt(n)), rel=1e-12)
     assert kernel.unitarity_deviation < 1e-10
     assert kernel.calibration["at_bracket_edge"] is False
     # At tau*/2 the off-diagonal row sum equals N: the defect is 1 for every
@@ -234,7 +231,7 @@ def test_gauged_kernel_is_phase_conjugation_of_standard():
     phase = quadratic_phase(0.3)
     plain = build_kernel(g, StandardAction(c, pot), "analytic")
     gauged = build_kernel(g, GaugedAction(c, pot, phase), "analytic")
-    phi = np.exp(1j * phase.phi(g.axis_points(0)) / HBAR)
+    phi = np.exp(1j * phase.phi(g.points) / HBAR)
     conjugated = phi[:, None] * plain.matrix * phi.conj()[None, :]
     np.testing.assert_allclose(gauged.matrix, conjugated, atol=1e-12)
     assert gauged.unitarity_deviation == pytest.approx(plain.unitarity_deviation, abs=1e-12)
@@ -294,7 +291,7 @@ def test_momentum_identity_sign_probe():
     g = grid128()
     kernel = build_kernel(g, magic_model(g), "analytic")
     psi = make_gaussian(g, 0.5, 0.0, math.sqrt(2.0), HBAR)
-    x = g.axis_points(0)
+    x = g.points
     grad_y = np.asarray(kernel.model.ds_dy(x[:, None], x[None, :]), dtype=float)
     d_matrix = kernel.matrix.conj().T @ (grad_y * kernel.matrix)
     p = momentum_matrix(g, HBAR)
@@ -302,17 +299,6 @@ def test_momentum_identity_sign_probe():
         p @ psi.amplitudes
     )
     assert flipped > 1.0
-
-
-def test_2d_kernel_calibrates_to_exact_unitary_at_magic_step():
-    from dtqm import VectorPotentialAction2D, zero_field
-
-    g = make_grid_2d(24, -3.0, 0.25)
-    tau = magic_time_step(g, 1.0, HBAR)
-    model = VectorPotentialAction2D(PhysicalConstants(1.0, tau, HBAR), zero_potential(), zero_field(), zero_field())
-    kernel = build_kernel(g, model, "calibrated")
-    assert abs(kernel.amplitude) == pytest.approx(1.0 / (2.0 * math.pi * HBAR * tau), rel=1e-9)
-    assert kernel.unitarity_deviation < 1e-8
 
 
 @pytest.mark.parametrize("n", [16, 255, 1024])
@@ -334,22 +320,26 @@ def test_fft_apply_matches_dense_matrix(n, tau_factor, mode):
 
 
 def test_dense_kernels_evolve_by_their_matrix():
-    from dtqm import VectorPotentialAction2D, bilinear_field
+    g = make_grid(32, -4.0, 0.25)
+    c = PhysicalConstants(1.0, magic_time_step(g, 1.0, HBAR), HBAR)
+    rng = np.random.default_rng(3)
+    for model in (QuarticAction(c, zero_potential(), 0.1), SineAction(c, 1.0)):
+        kernel = build_kernel(g, model, "calibrated")
+        v = rng.normal(size=g.n_points) + 1j * rng.normal(size=g.n_points)
+        assert np.array_equal(evolve(kernel, WaveState(g, v)).amplitudes, kernel.matrix @ v)
+
+
+def test_a_2d_action_is_refused_at_the_lattice():
+    from dtqm import VectorPotentialAction2D, bilinear_field, ehrenfest_run
 
     g = make_grid(32, -4.0, 0.25)
     c = PhysicalConstants(1.0, magic_time_step(g, 1.0, HBAR), HBAR)
-    g2 = make_grid_2d(8, -1.0, 0.25)
-    c2 = PhysicalConstants(1.0, magic_time_step(g2, 1.0, HBAR), HBAR)
-    cases = [
-        (g, QuarticAction(c, zero_potential(), 0.1)),
-        (g, SineAction(c, 1.0)),
-        (g2, VectorPotentialAction2D(c2, zero_potential(), bilinear_field(0.1), bilinear_field(0.0))),
-    ]
-    rng = np.random.default_rng(3)
-    for grid, model in cases:
-        kernel = build_kernel(grid, model, "calibrated")
-        v = rng.normal(size=grid.n_total) + 1j * rng.normal(size=grid.n_total)
-        assert np.array_equal(evolve(kernel, WaveState(grid, v)).amplitudes, kernel.matrix @ v)
+    model = VectorPotentialAction2D(c, zero_potential(), bilinear_field(0.1), bilinear_field(0.0))
+    for mode in ("analytic", "calibrated"):
+        with pytest.raises(ValueError, match="got a 2D action"):
+            build_kernel(g, model, mode)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        ehrenfest_run(model, g, 0.0, 0.0, 1.0, 5)
 
 
 def test_analytic_evolve_path_does_no_dense_work(monkeypatch):
@@ -388,7 +378,7 @@ def test_unitarity_deviation_is_computed_once(monkeypatch):
     assert len(calls) == 1
     # Built on first read bit for bit as a calibrated build assembles it.
     phases = dtqm.propagator._phase_matrix(g, kernel.model)
-    assert np.array_equal(kernel.matrix, g.weight * kernel.amplitude * phases)
+    assert np.array_equal(kernel.matrix, g.spacing * kernel.amplitude * phases)
 
 
 def count_ffts(monkeypatch) -> list:
@@ -449,7 +439,7 @@ def test_magic_step_detection(n, monkeypatch):
     # Gauss sum: at tau* the analytic amplitude is exactly 1 / (w sqrt(N)), and
     # the kernel is unitary for even and odd N alike (K = diag(c) F diag(c)).
     kernel = build_kernel(g, magic_model(g))
-    assert abs(g.weight * abs(kernel.amplitude) * math.sqrt(n) - 1.0) <= 1e-12
+    assert abs(g.spacing * abs(kernel.amplitude) * math.sqrt(n) - 1.0) <= 1e-12
     assert unitarity_defect(kernel.matrix) < 1e-10
 
 
@@ -551,24 +541,64 @@ def test_gauss_sum_magnitude_matches_eigvals(n, q, tau_factor, model_index, mode
     g = make_grid(n, -8.0, 16.0 / n)
     c = PhysicalConstants(1.0, tau_factor * magic_time_step(g, 1.0, HBAR) / q, HBAR)
     kernel = build_kernel(g, builtin_family_models(c)[model_index], mode)
-    assert (kernel.q, kernel.apply_path) == (q, "chirped_dft")
-    expected = kernel.gauss_sum_magnitude
-    assert expected == g.weight * abs(kernel.amplitude) * math.sqrt(n)
-
-    def worst(matrix):
-        magnitudes = np.abs(np.linalg.eigvals(matrix))
-        return max(abs(magnitudes.min() - expected), abs(magnitudes.max() - expected)) / expected
-
+    gauss = g.spacing * abs(kernel.amplitude) * math.sqrt(n)
+    magnitudes = np.abs(np.linalg.eigvals(kernel.matrix))
+    worst = max(abs(magnitudes.min() - gauss), abs(magnitudes.max() - gauss)) / gauss
     # The dense matrix is built from S at the configured step itself. A relative
     # step error delta adds the phase -a delta (j - k)^2 with a = pi q / N; its
     # cross term 2 a delta j k moves the singular values, and so the eigenvalue
     # magnitudes, by up to 2 pi q N |delta| to first order.
-    assert worst(kernel.matrix) <= 2.0 * math.pi * q * n * abs(tau_factor - 1.0) + 1e-12
-    if tau_factor != 1.0:
-        # The operator apply() uses, column by column: the factor form takes
-        # the step as tau* / q, so its spectrum is the Gauss sum's to roundoff.
-        applied = np.stack([kernel.apply(e) for e in np.eye(n, dtype=complex)], axis=1)
-        assert worst(applied) <= 1e-12
+    assert worst <= 2.0 * math.pi * q * n * abs(tau_factor - 1.0) + 1e-12
+    if tau_factor == 1.0:
+        assert (kernel.q, kernel.apply_path) == (q, "chirped_dft")
+        assert kernel.gauss_sum_magnitude == gauss
+    else:
+        # 1e-13 off tau* / q is past the rounding-level snap: no Gauss sum is
+        # claimed, and apply() is the kernel from S at the configured step.
+        assert (kernel.q, kernel.apply_path, kernel.gauss_sum_magnitude) == (None, "embedding_2n", None)
+        assert kernel.summary["q_offset"] is None
+        rng = np.random.default_rng(n)
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        assert float(np.max(np.abs(kernel.apply(v) - kernel.matrix @ v))) <= 1e-12 * np.linalg.norm(v)
+
+
+def test_the_benchmarks_operating_points_snap(tmp_path):
+    # evolve_1024 steps at tau*: a kernel that missed the snap would take the
+    # size-2N FFT pair on every step. 128 points at spacing 0.125 is the
+    # pipeline's build lattice.
+    import json
+
+    from dtqm.config import build_action, build_grid, load_config
+    from dtqm.correspondence import _sweep_grid
+
+    def snapped(grid, model):
+        kernel = build_kernel(grid, model)
+        return kernel.apply_path, kernel.q
+
+    def harmonic(mass, tau, hbar):
+        return StandardAction(PhysicalConstants(mass, tau, hbar), harmonic_potential(mass, 1.0))
+
+    for n in (4, 39, 128, 256, 1024, 4096):
+        for mass in (0.37, 1.0, 2.5):
+            for length in (16.0, 32.0):
+                grid = {"n_points": n, "x_min": -0.5 * length, "spacing": length / n}
+                payload = {
+                    "grid": grid,
+                    "constants": {"mass": mass, "hbar": 1.0, "tau": "magic"},
+                    "action": {"kind": "standard", "potential": {"name": "harmonic", "omega": 1.0}},
+                    "run": {"x0": 0.0, "p0": 0.0, "n_steps": 1},
+                }
+                path = tmp_path / "evolve.json"
+                path.write_text(json.dumps(payload))
+                cfg = load_config(str(path), "evolve")
+                g = build_grid(cfg)
+                assert snapped(g, build_action(cfg)) == ("chirped_dft", 1), (n, mass, length)
+                magic = magic_time_step(g, mass, 1.0)
+                for q in range(2, 8):
+                    assert snapped(g, harmonic(mass, magic / q, 1.0)) == ("chirped_dft", q), (n, mass, length, q)
+            for hbar in (1.0, 0.7, 0.5, 0.35, 0.25):
+                g = _sweep_grid(hbar, mass, 0.1, n, 0.3)
+                assert snapped(g, harmonic(mass, 0.1, hbar)) == ("chirped_dft", 1), (n, mass, hbar)
 
 
 def test_gauss_sum_magnitude_is_none_where_the_spectrum_is_not_known():
