@@ -32,7 +32,6 @@ from .classical import (
     integrate,
     invert_momentum,
     leapfrog_reference,
-    momentum_from_pair,
 )
 from .correspondence import (
     BoundaryError,

@@ -48,7 +48,9 @@ class PhysicalConstants:
 class ActionModel:
     """Base class; evaluators broadcast over numpy arrays.
 
-    One-dimensional models take scalars or arrays of positions. The 2D model
+    One-dimensional models take floats, ``np.float64`` or arrays of positions
+    and use them as they are; a caller that needs an overflow to read as inf
+    passes ``np.float64``, not a Python float. The 2D model
     takes arrays whose last axis has length 2; ``d2s_dxdy`` then returns the
     2x2 mixed block in the trailing two axes.
     """
@@ -87,21 +89,15 @@ class StandardAction(ActionModel):
 
     def s(self, x, y):
         c = self.constants
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
         kinetic = 0.5 * c.mass / c.time_step * (x - y) ** 2
         return kinetic - 0.5 * c.time_step * (self.potential.v(x) + self.potential.v(y))
 
     def ds_dx(self, x, y):
         c = self.constants
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
         return c.mass / c.time_step * (x - y) - 0.5 * c.time_step * self.potential.dv(x)
 
     def ds_dy(self, x, y):
         c = self.constants
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
         return -c.mass / c.time_step * (x - y) - 0.5 * c.time_step * self.potential.dv(y)
 
     def d2s_dxdy(self, x, y):
@@ -121,14 +117,14 @@ class GaugedAction(StandardAction):
 
     def s(self, x, y):
         # Grouped so the gauge term is exactly zero at coincident points.
-        gauge = self.phase.phi(np.asarray(x, dtype=float)) - self.phase.phi(np.asarray(y, dtype=float))
+        gauge = self.phase.phi(x) - self.phase.phi(y)
         return super().s(x, y) + gauge
 
     def ds_dx(self, x, y):
-        return super().ds_dx(x, y) + self.phase.dphi(np.asarray(x, dtype=float))
+        return super().ds_dx(x, y) + self.phase.dphi(x)
 
     def ds_dy(self, x, y):
-        return super().ds_dy(x, y) - self.phase.dphi(np.asarray(y, dtype=float))
+        return super().ds_dy(x, y) - self.phase.dphi(y)
 
 
 def is_standard_family(model: ActionModel) -> bool:
@@ -158,8 +154,6 @@ class QuarticAction(ActionModel):
 
     def s(self, x, y):
         c = self.constants
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
         d = x - y
         base = 0.5 * c.mass / c.time_step * d * d - 0.5 * c.time_step * (
             self.potential.v(x) + self.potential.v(y)
@@ -168,21 +162,17 @@ class QuarticAction(ActionModel):
 
     def ds_dx(self, x, y):
         c = self.constants
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
         d = x - y
         return c.mass / c.time_step * d - 0.5 * c.time_step * self.potential.dv(x) + 4.0 * self.epsilon * d**3
 
     def ds_dy(self, x, y):
         c = self.constants
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
         d = x - y
         return -c.mass / c.time_step * d - 0.5 * c.time_step * self.potential.dv(y) - 4.0 * self.epsilon * d**3
 
     def d2s_dxdy(self, x, y):
         c = self.constants
-        d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+        d = x - y
         return -c.mass / c.time_step - 12.0 * self.epsilon * d * d
 
 

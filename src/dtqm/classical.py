@@ -27,7 +27,6 @@ __all__ = [
     "ClassicalTrajectory",
     "NumericalError",
     "NUMERICAL_FAILURES",
-    "momentum_from_pair",
     "eom_step",
     "integrate",
     "leapfrog_reference",
@@ -88,25 +87,12 @@ class ClassicalTrajectory:
         return f"{self.status.value}_at({self.failure_step})"
 
 
-def momentum_from_pair(model: ActionModel, x_now, x_prev):
-    """Discrete momentum dS/dx at (x_now, x_prev)."""
-    p = model.ds_dx(x_now, x_prev)
-    if model.dimension == 1:
-        return float(p)
-    return np.asarray(p, dtype=float)
-
-
 def _gradient_tolerance(model: ActionModel, scale: float) -> float:
     c = model.constants
     return GRADIENT_TOL * (c.mass / c.time_step) * scale
 
 
-def _default_radius(model: ActionModel, x_now: float, x_prev: float) -> float:
-    c = model.constants
-    return 10.0 * abs(x_now - x_prev) + 10.0 * math.sqrt(c.hbar * c.time_step / c.mass)
-
-
-def _family_track(model, x_prev: float, x_now: float, n_steps: int) -> list[float]:
+def _family_track(model, x_prev, x_now, n_steps: int) -> list:
     """The seed pair and the next n_steps roots x_now + (tau/m) g of the standard family.
 
     d2S/dxdy = -m / tau makes the equation of motion linear, so one Newton
@@ -114,7 +100,8 @@ def _family_track(model, x_prev: float, x_now: float, n_steps: int) -> list[floa
     the order of StandardAction's evaluators, so the roots match theirs bit
     for bit. A gauged action's term phi(x) - phi(y) is a discrete total
     difference and drops out of the equation exactly, so the loop calls V'
-    once per step and never phi': a gauged track is the standard track. A
+    once per step and never phi': a gauged track is the standard track. The
+    seed pair is ``np.float64``, so an overflow reads as inf, and a
     non-finite root is a numerical failure, never a verdict.
     """
     c = model.constants
@@ -124,7 +111,7 @@ def _family_track(model, x_prev: float, x_now: float, n_steps: int) -> list[floa
     # Overflow is not reported as a warning: each root is checked below.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_steps):
-            d = half * float(dv(np.float64(x_now)))
+            d = half * float(dv(x_now))
             x_next = x_now + step * (kin * (x_now - x_prev) - d - d)
             if not math.isfinite(x_next):
                 raise NumericalError(f"the closed-form step from x_prev={x_prev}, x_now={x_now} is not finite")
@@ -133,12 +120,31 @@ def _family_track(model, x_prev: float, x_now: float, n_steps: int) -> list[floa
     return track
 
 
+def _nearest_root(g, dg, centre, radius, prediction, gtol, merge_tol):
+    """Scan [centre - radius, centre + radius] for roots of g; keep the one nearest ``prediction``.
+
+    Returns ``(x, residual, count)``: ``count`` roots were found, ``x`` is the
+    one nearest ``prediction`` (the first on a tie) and ``residual`` is |g|
+    there, from its refinement. Without a root, ``x`` is the scan point of
+    smallest |g| and ``residual`` that |g|; the caller decides what either
+    outcome means.
+    """
+    xtol = 1e-13 * max(1.0, abs(centre) + radius)
+    lo, hi = centre - radius, centre + radius
+    roots, residuals, xs, gs = scan_roots(g, dg, lo, hi, SCAN_SUBINTERVALS, gtol, xtol, merge_tol)
+    if not roots:
+        i = int(np.argmin(np.abs(gs)))
+        return float(xs[i]), float(abs(gs[i])), 0
+    i = min(range(len(roots)), key=lambda k: abs(roots[k] - prediction))
+    return roots[i], residuals[i], len(roots)
+
+
 def _eom_step_1d(model, x_prev, x_now):
     if is_standard_family(model):
         xi = _family_track(model, x_prev, x_now, 1)[-1]
         # An overflowing residual is not reported as a warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            residual = abs(float(float(model.ds_dx(x_now, x_prev)) + model.ds_dy(xi, x_now)))
+            residual = abs(float(model.ds_dx(x_now, x_prev) + model.ds_dy(xi, x_now)))
         return EomResult(xi, TrajectoryStatus.COMPLETE, residual)
 
     def g(xi):
@@ -147,26 +153,17 @@ def _eom_step_1d(model, x_prev, x_now):
     def dg(xi):
         return model.d2s_dxdy(xi, x_now)
 
-    gtol = _gradient_tolerance(model, max(1.0, abs(x_now), abs(x_prev)))
-    radius = _default_radius(model, x_now, x_prev)
-    lo, hi = x_now - radius, x_now + radius
-    xtol = 1e-13 * max(1.0, abs(lo), abs(hi))
+    c = model.constants
     # Overflow is not reported as a warning: integrate checks the finished track.
     with np.errstate(over="ignore", invalid="ignore"):
+        gtol = _gradient_tolerance(model, max(1.0, abs(x_now), abs(x_prev)))
+        radius = 10.0 * abs(x_now - x_prev) + 10.0 * math.sqrt(c.hbar * c.time_step / c.mass)
         incoming = float(model.ds_dx(x_now, x_prev))
-        roots, xs, gs = scan_roots(g, dg, lo, hi, SCAN_SUBINTERVALS, gtol, xtol, 1e-9 * max(1.0, radius))
-        if not roots:
-            smallest = float(np.min(np.abs(gs)))
-            if smallest <= gtol:
-                xi = float(xs[int(np.argmin(np.abs(gs)))])
-                return EomResult(xi, TrajectoryStatus.COMPLETE, abs(float(g(xi))))
-            return EomResult(None, TrajectoryStatus.NO_SOLUTION, smallest)
-        free_prediction = 2.0 * x_now - x_prev
-        if len(roots) == 1:
-            xi = roots[0]
-            return EomResult(xi, TrajectoryStatus.COMPLETE, abs(float(g(xi))))
-        xi = min(roots, key=lambda r: abs(r - free_prediction))
-        return EomResult(xi, TrajectoryStatus.NON_UNIQUE, abs(float(g(xi))))
+        prediction = 2.0 * x_now - x_prev
+        xi, residual, count = _nearest_root(g, dg, x_now, radius, prediction, gtol, 1e-9 * max(1.0, radius))
+    if count == 0 and not residual <= gtol:
+        return EomResult(None, TrajectoryStatus.NO_SOLUTION, residual)
+    return EomResult(xi, TrajectoryStatus.NON_UNIQUE if count > 1 else TrajectoryStatus.COMPLETE, residual)
 
 
 def _eom_step_2d(model, x_prev, x_now):
@@ -208,7 +205,7 @@ def eom_step(model: ActionModel, x_prev, x_now) -> EomResult:
     equivalent exists there).
     """
     if model.dimension == 1:
-        return _eom_step_1d(model, float(x_prev), float(x_now))
+        return _eom_step_1d(model, np.float64(x_prev), np.float64(x_now))
     return _eom_step_2d(model, x_prev, x_now)
 
 
@@ -226,7 +223,7 @@ def integrate(model: ActionModel, x0, x_minus1, n_steps: int) -> ClassicalTrajec
         raise ValueError(f"n_steps must be at least 1, got {n_steps}")
     one_d = model.dimension == 1
     if one_d:
-        track = [float(x_minus1), float(x0)]
+        track = [np.float64(x_minus1), np.float64(x0)]
     else:
         track = [np.asarray(x_minus1, dtype=float), np.asarray(x0, dtype=float)]
     status = TrajectoryStatus.COMPLETE
@@ -283,7 +280,7 @@ def leapfrog_reference(dv, mass: float, time_step: float, x0: float, x_minus1: f
     return xs
 
 
-def _invert_momentum_1d(model, x0: float, p0: float) -> float:
+def _invert_momentum_1d(model, x0, p0):
     c = model.constants
 
     def g(xi):
@@ -293,27 +290,25 @@ def _invert_momentum_1d(model, x0: float, p0: float) -> float:
         # derivative of dS/dx (x0, xi) with respect to xi
         return model.d2s_dxdy(x0, xi)
 
-    guess = x0 - c.time_step * p0 / c.mass
-    if is_standard_family(model):
-        # g is linear in xi with slope d2S/dxdy = -m / tau: one Newton step is exact.
-        # Overflow is not reported as a warning: the root is checked below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            root = guess + (c.time_step / c.mass) * float(g(guess))
-        if not math.isfinite(root):
-            raise NumericalError(f"cannot invert the momentum map at x0={x0}, p0={p0}: the root is not finite")
-        return root
-    radius = 10.0 * (abs(c.time_step * p0 / c.mass) + math.sqrt(c.hbar * c.time_step / c.mass))
-    lo, hi = guess - radius, guess + radius
-    gtol = _gradient_tolerance(model, max(1.0, abs(x0), abs(p0 * c.time_step / c.mass)))
-    xtol = 1e-13 * max(1.0, abs(guess) + radius)
-    # Overflow is not reported as a warning: a root found lies inside a finite bracket.
+    # Overflow is not reported as a warning: a closed-form root is checked
+    # below, and a scanned root lies inside a finite bracket.
     with np.errstate(over="ignore", invalid="ignore"):
-        roots, _, _ = scan_roots(g, dg, lo, hi, SCAN_SUBINTERVALS, gtol, xtol, 0.0)
-    if not roots:
-        raise NumericalError(
-            f"cannot invert the momentum map at x0={x0}, p0={p0}: no root in [{lo:.6g}, {hi:.6g}]"
-        )
-    return min(roots, key=lambda r: abs(r - guess))
+        guess = x0 - c.time_step * p0 / c.mass
+        if is_standard_family(model):
+            # g is linear in xi with slope d2S/dxdy = -m / tau: one Newton step is exact.
+            root = guess + (c.time_step / c.mass) * float(g(guess))
+            if not math.isfinite(root):
+                raise NumericalError(f"cannot invert the momentum map at x0={x0}, p0={p0}: the root is not finite")
+            return root
+        radius = 10.0 * (abs(c.time_step * p0 / c.mass) + math.sqrt(c.hbar * c.time_step / c.mass))
+        gtol = _gradient_tolerance(model, max(1.0, abs(x0), abs(p0 * c.time_step / c.mass)))
+        root, _, count = _nearest_root(g, dg, guess, radius, guess, gtol, 0.0)
+        if not count:
+            raise NumericalError(
+                f"cannot invert the momentum map at x0={x0}, p0={p0}: "
+                f"no root in [{guess - radius:.6g}, {guess + radius:.6g}]"
+            )
+    return root
 
 
 def _invert_momentum_2d(model, x0, p0):
@@ -338,11 +333,11 @@ def _invert_momentum_2d(model, x0, p0):
 
 
 def invert_momentum(model: ActionModel, x0, p0):
-    """Find x_prev such that momentum_from_pair(model, x0, x_prev) = p0.
+    """Find x_prev such that model.ds_dx(x0, x_prev) = p0.
 
     This is how a classical seed pair is reconstructed from packet
     parameters (x0, p0).
     """
     if model.dimension == 1:
-        return _invert_momentum_1d(model, float(x0), float(p0))
+        return _invert_momentum_1d(model, np.float64(x0), np.float64(p0))
     return _invert_momentum_2d(model, x0, p0)

@@ -126,9 +126,9 @@ def make_gaussian(grid: SpatialGrid, x0: float, p0: float, alpha: float, hbar: f
     sigma = alpha * math.sqrt(hbar / 2.0)
     flags: list[str] = []
     if sigma < 2.0 * dx:
-        flags.append(f"axis 0: width {sigma:.4g} below resolvable limit {2.0 * dx:.4g}")
+        flags.append(f"width {sigma:.4g} below resolvable limit {2.0 * dx:.4g}")
     if sigma > grid.extent / 8.0:
-        flags.append(f"axis 0: width {sigma:.4g} above boundary-safe limit {grid.extent / 8.0:.4g}")
+        flags.append(f"width {sigma:.4g} above boundary-safe limit {grid.extent / 8.0:.4g}")
     d = xs - x0
     amps = np.exp(-(d * d / (4.0 * sigma * sigma)) + 1j * (p0 * xs / hbar))
     norm_sq = dx * float(np.sum(np.abs(amps) ** 2))

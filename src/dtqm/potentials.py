@@ -30,7 +30,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Potential:
-    """Scalar potential V(x) with derivative, vectorized over numpy arrays.
+    """Scalar potential V(x) with derivative, for floats, ``np.float64`` or arrays.
 
     In two dimensions the built-ins are applied separably, V(x1) + V(x2),
     which keeps one definition valid for every grid dimension.
@@ -41,28 +41,34 @@ class Potential:
     dv: Callable
 
 
+def _zeros(x):
+    return np.zeros(np.shape(x))
+
+
 def zero_potential() -> Potential:
-    return Potential("zero", lambda x: np.zeros_like(np.asarray(x, dtype=float)), lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+    return Potential("zero", _zeros, _zeros)
 
 
 def harmonic_potential(mass: float, omega: float) -> Potential:
     k = mass * omega * omega
-    return Potential("harmonic", lambda x: 0.5 * k * np.square(x), lambda x: k * np.asarray(x, dtype=float))
+    return Potential("harmonic", lambda x: 0.5 * k * np.square(x), lambda x: k * x)
 
 
 def quartic_potential(strength: float) -> Potential:
+    # np.power, not **: on an np.float64, ** rounds through the C library's pow,
+    # unlike numpy's loop over an array. Float exponents keep integers from wrapping.
     return Potential(
         "quartic",
-        lambda x: strength * np.asarray(x, dtype=float) ** 4,
-        lambda x: 4.0 * strength * np.asarray(x, dtype=float) ** 3,
+        lambda x: strength * np.power(x, 4.0),
+        lambda x: 4.0 * strength * np.power(x, 3.0),
     )
 
 
 def cosine_well_potential(depth: float, wavenumber: float = 1.0) -> Potential:
     return Potential(
         "cosine_well",
-        lambda x: depth * (1.0 - np.cos(wavenumber * np.asarray(x, dtype=float))),
-        lambda x: depth * wavenumber * np.sin(wavenumber * np.asarray(x, dtype=float)),
+        lambda x: depth * (1.0 - np.cos(wavenumber * x)),
+        lambda x: depth * wavenumber * np.sin(wavenumber * x),
     )
 
 
@@ -76,14 +82,14 @@ class GaugePhase:
 
 
 def zero_phase() -> GaugePhase:
-    return GaugePhase("zero", lambda x: np.zeros_like(np.asarray(x, dtype=float)), lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+    return GaugePhase("zero", _zeros, _zeros)
 
 
 def linear_phase(slope: float) -> GaugePhase:
     return GaugePhase(
         "linear",
-        lambda x: slope * np.asarray(x, dtype=float),
-        lambda x: np.full_like(np.asarray(x, dtype=float), slope),
+        lambda x: slope * x,
+        lambda x: np.full(np.shape(x), slope),
     )
 
 
@@ -91,7 +97,7 @@ def quadratic_phase(curvature: float) -> GaugePhase:
     return GaugePhase(
         "quadratic",
         lambda x: curvature * np.square(x),
-        lambda x: 2.0 * curvature * np.asarray(x, dtype=float),
+        lambda x: 2.0 * curvature * x,
     )
 
 

@@ -65,35 +65,39 @@ def scan_roots(g, dg, lo, hi, n_scan, gtol, xtol, merge_tol):
 
     ``g`` and ``dg`` must broadcast over arrays: the ``n_scan + 1`` scan
     values come from one call ``g(xs)`` and only choose the brackets. A scan
-    point where g is exactly zero is a root; every other sign change is
-    refined by ``bracketed_newton`` on scalar calls. Signs are compared, not
-    multiplied, so scan values of any magnitude bracket a root. Sorted roots
-    within ``merge_tol`` of the last kept one are merged into it (0 merges
-    only exact duplicates). Returns ``(roots, xs, gs)``: the merged roots in
-    ascending order, the scan points and the scan values.
+    point where g is exactly zero is a root with residual 0.0; every other
+    sign change is refined by ``bracketed_newton`` on ``np.float64`` calls,
+    and the root's residual is the |g| that refinement ended on. Signs are
+    compared, not multiplied, so scan values of any magnitude bracket a
+    root. Sorted roots within ``merge_tol`` of the last kept one are merged
+    into it, which keeps its residual (0 merges only exact duplicates).
+    Returns ``(roots, residuals, xs, gs)``: the merged roots in ascending
+    order, their residuals, the scan points and the scan values.
     """
     xs = np.linspace(lo, hi, n_scan + 1)
     gs = np.asarray(g(xs), dtype=float)
 
     def g_scalar(x):
-        return float(g(x))
+        return float(g(np.float64(x)))
 
     def dg_scalar(x):
-        return float(dg(x))
+        return float(dg(np.float64(x)))
 
-    roots = [float(x) for x in xs[gs == 0.0]]
+    found = [(float(x), 0.0) for x in xs[gs == 0.0]]
     signs = np.sign(gs)
     for i in np.flatnonzero(signs[:-1] * signs[1:] < 0.0):
-        root, _ = bracketed_newton(
+        root, g_root = bracketed_newton(
             g_scalar, dg_scalar, float(xs[i]), float(xs[i + 1]), float(gs[i]), float(gs[i + 1]), gtol, xtol
         )
-        roots.append(root)
+        found.append((root, abs(g_root)))
 
-    merged: list[float] = []
-    for r in sorted(roots):
-        if not merged or abs(r - merged[-1]) > merge_tol:
-            merged.append(r)
-    return merged, xs, gs
+    roots: list[float] = []
+    residuals: list[float] = []
+    for r, residual in sorted(found):
+        if not roots or abs(r - roots[-1]) > merge_tol:
+            roots.append(r)
+            residuals.append(residual)
+    return roots, residuals, xs, gs
 
 
 def newton_solve(g, jacobian, x0, gtol, max_iter, blowup=math.inf):

@@ -24,6 +24,7 @@ from dtqm import (
     quartic_potential,
     sine_field,
     zero_field,
+    zero_phase,
     zero_potential,
 )
 from dtqm.potentials import GaugePhase
@@ -125,6 +126,19 @@ def test_sine_probe_values():
     assert np.max(np.abs(model.ds_dy(x, y))) <= 2.0
     with pytest.raises(ValueError):
         SineAction(constants(), 0.0)
+
+
+def test_builtins_give_scalars_and_arrays_the_same_bits():
+    # A scalar root refinement and a broadcast pass over the same points agree
+    # bit for bit, and an integer argument neither wraps nor truncates.
+    xs = np.random.default_rng(3).uniform(-5.0, 5.0, 400)
+    ints = np.arange(99_998, 100_002)
+    pots = (zero_potential(), harmonic_potential(1.0, 1.3), quartic_potential(0.4), cosine_well_potential(0.8, 2.0))
+    phases = (zero_phase(), linear_phase(0.7), quadratic_phase(0.5))
+    for f in [g for p in pots for g in (p.v, p.dv)] + [g for p in phases for g in (p.phi, p.dphi)]:
+        whole = f(xs)
+        assert all(f(np.float64(x)) == w and f(float(x)) == w for x, w in zip(xs, whole))
+        np.testing.assert_array_equal(f(ints), f(ints.astype(float)))
 
 
 def _fd_1d(f, x, y, step=FD_STEP):

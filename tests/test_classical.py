@@ -30,7 +30,6 @@ from dtqm import (
     linear_phase,
     magic_time_step,
     make_grid,
-    momentum_from_pair,
     quadratic_phase,
     quartic_potential,
     zero_field,
@@ -47,10 +46,10 @@ def standard(tau=0.1, pot=None):
 
 
 def test_momentum_from_pair_values():
-    assert momentum_from_pair(standard(), 0.1, 0.0) == pytest.approx(1.0, abs=1e-14)
-    assert momentum_from_pair(standard(), 0.5, 0.5) == 0.0
+    assert standard().ds_dx(0.1, 0.0) == pytest.approx(1.0, abs=1e-14)
+    assert standard().ds_dx(0.5, 0.5) == 0.0
     harm = standard(pot=harmonic_potential(1.0, 1.0))
-    assert momentum_from_pair(harm, 1.0, 1.0) == pytest.approx(-0.05, abs=1e-15)
+    assert harm.ds_dx(1.0, 1.0) == pytest.approx(-0.05, abs=1e-15)
 
 
 def test_eom_step_free_particle():
@@ -117,7 +116,7 @@ def test_trajectory_momenta_and_residual_invariants():
     traj = integrate(model, 0.8, 0.75, 100)
     # p_n recomputed from the pair (x_n, x_{n-1})
     for n in range(1, 101):
-        p = momentum_from_pair(model, traj.positions[n], traj.positions[n - 1])
+        p = model.ds_dx(traj.positions[n], traj.positions[n - 1])
         assert traj.momenta[n] == pytest.approx(p, abs=1e-14)
     # interior triples satisfy the balance equation
     tol = 1e-10 * (1.0 / 0.1) * max(1.0, float(np.max(np.abs(traj.positions))))
@@ -189,7 +188,7 @@ def test_leapfrog_energy_stays_bounded():
 def test_invert_momentum_roundtrip():
     model = standard(pot=harmonic_potential(1.0, 1.0))
     x_prev = invert_momentum(model, 1.0, 0.7)
-    assert momentum_from_pair(model, 1.0, x_prev) == pytest.approx(0.7, abs=1e-12)
+    assert model.ds_dx(1.0, x_prev) == pytest.approx(0.7, abs=1e-12)
     # standard family closed form: x_prev = x0 - (tau/m)(p0 + tau V'(x0)/2)
     expected = 1.0 - 0.1 * (0.7 + 0.05 * 1.0)
     assert x_prev == pytest.approx(expected, abs=1e-12)
@@ -230,7 +229,7 @@ def test_2d_magnetic_field_trajectory_satisfies_balance():
     )
     assert np.max(np.abs(g)) < 1e-10
     # 2D momentum map inversion roundtrip
-    p = momentum_from_pair(model, x0, np.array([0.69, -0.31]))
+    p = model.ds_dx(x0, np.array([0.69, -0.31]))
     recovered = invert_momentum(model, x0, p)
     np.testing.assert_allclose(recovered, [0.69, -0.31], atol=1e-10)
 
@@ -242,8 +241,9 @@ def test_scan_roots_root_on_scan_point_and_one_broadcast_call():
         shapes.append(np.shape(x))
         return np.asarray(x, dtype=float) - 0.5
 
-    roots, xs, gs = scan_roots(g, lambda x: 1.0, 0.0, 1.0, 4, 1e-12, 0.0, 0.0)
+    roots, residuals, xs, gs = scan_roots(g, lambda x: 1.0, 0.0, 1.0, 4, 1e-12, 0.0, 0.0)
     assert roots == [0.5]
+    assert residuals == [0.0]
     assert xs[2] == 0.5 and gs[2] == 0.0
     assert shapes == [(5,)]  # a root on a scan point needs no refinement
 
@@ -258,19 +258,25 @@ def test_scan_roots_merges_refinements_within_merge_tol():
     def dg(x):
         return 2.0 * x - a - b
 
-    separate, _, _ = scan_roots(g, dg, 0.0, 1.0, 4, 0.0, 0.0, 0.0)
+    separate, separate_residuals, _, _ = scan_roots(g, dg, 0.0, 1.0, 4, 0.0, 0.0, 0.0)
     assert separate == pytest.approx([a, b], abs=1e-15)
-    merged, _, _ = scan_roots(g, dg, 0.0, 1.0, 4, 0.0, 0.0, 1e-8)
+    assert separate_residuals == [abs(g(r)) for r in separate]
+    merged, merged_residuals, _, _ = scan_roots(g, dg, 0.0, 1.0, 4, 0.0, 0.0, 1e-8)
     assert merged == separate[:1]
+    assert merged_residuals == separate_residuals[:1]  # the cluster keeps its first root's residual
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e200], ids=["products_underflow", "products_overflow"])
 def test_scan_roots_compares_signs_at_any_magnitude(scale):
     # The product of two adjacent scan values rounds to -0.0 or overflows to -inf.
+    def g(x):
+        return scale * (x - 0.3)
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        roots, _, _ = scan_roots(lambda x: scale * (x - 0.3), lambda x: scale, 0.0, 1.0, 64, 0.0, 1e-15, 0.0)
+        roots, residuals, _, _ = scan_roots(g, lambda x: scale, 0.0, 1.0, 64, 0.0, 1e-15, 0.0)
     assert roots == [pytest.approx(0.3, abs=1e-15)]
+    assert residuals == [abs(g(roots[0]))]
 
 
 def test_bracketed_newton_calls_dg_once_per_step():
@@ -290,9 +296,30 @@ def test_bracketed_newton_calls_dg_once_per_step():
     assert calls == {"g": 6, "dg": 5}
 
 
+def test_generic_step_evaluates_each_point_once():
+    # One broadcast ds_dy over the scan, one per refinement iterate, and none
+    # afterwards: the kept root's residual is the one its refinement computed.
+    model = QuarticAction(PhysicalConstants(1.0, 0.1, HBAR), harmonic_potential(1.0, 1.0), 0.1)
+    ds_dy = model.ds_dy
+    points = []
+
+    def spy(x, y):
+        points.append(x)
+        return ds_dy(x, y)
+
+    model.ds_dy = spy
+    result = eom_step(model, 0.97, 1.0)
+    assert result.status is TrajectoryStatus.COMPLETE
+    scan, iterates = points[0], points[1:]
+    assert np.shape(scan) == (65,) and iterates and all(np.ndim(x) == 0 for x in iterates)
+    assert len(set(iterates)) == len(iterates) and iterates[-1] == result.x_next
+    x_now, x_prev = np.float64(1.0), np.float64(0.97)
+    assert result.residual == abs(float(model.ds_dx(x_now, x_prev)) + ds_dy(np.float64(result.x_next), x_now))
+
+
 def test_scan_roots_without_sign_change_is_empty():
-    roots, xs, gs = scan_roots(lambda x: x * x + 1.0, lambda x: 2.0 * x, -1.0, 1.0, 64, 1e-12, 0.0, 0.0)
-    assert roots == []
+    roots, residuals, xs, gs = scan_roots(lambda x: x * x + 1.0, lambda x: 2.0 * x, -1.0, 1.0, 64, 1e-12, 0.0, 0.0)
+    assert roots == residuals == []
     assert len(xs) == len(gs) == 65
     assert float(np.min(gs)) == 1.0
 
@@ -318,32 +345,49 @@ class ScanGauged(GaugedAction):
 
 
 def _closed_and_scan_pairs():
-    c = PhysicalConstants(1.0, 0.1, HBAR)
     pots = {
         "harmonic": harmonic_potential(1.0, 1.0),
         "quartic": quartic_potential(0.05),
         "cosine_well": cosine_well_potential(6.0, 0.35),
     }
-    pairs = [pytest.param(StandardAction(c, pot), ScanStandard(c, pot), id=name) for name, pot in pots.items()]
-    phase = quadratic_phase(0.3)
-    pot = pots["cosine_well"]
-    pairs.append(pytest.param(GaugedAction(c, pot, phase), ScanGauged(c, pot, phase), id="gauged"))
+    pairs = [pytest.param(StandardAction, ScanStandard, (pot,), id=name) for name, pot in pots.items()]
+    fields = (pots["cosine_well"], quadratic_phase(0.3))
+    pairs.append(pytest.param(GaugedAction, ScanGauged, fields, id="gauged"))
     return pairs
 
 
-@pytest.mark.parametrize("fast, scan", _closed_and_scan_pairs())
-def test_closed_form_integrate_matches_scan_path(fast, scan):
+@st.composite
+def _seeds(draw):
+    """(tau, x0, x_minus1): speeds up to 2, as in the family fuzz, and 0.5 <= |x0| <= 2.
+
+    The scan resolves a root to rounding at the scale max(1, |x|, R), so a
+    track far below unit scale cannot match the closed form relative to its
+    own scale; such tracks are left out here.
+    """
+    tau = draw(st.floats(0.02, 0.2))
+    x0 = draw(st.floats(-2.0, -0.5) | st.floats(0.5, 2.0))
+    return tau, x0, draw(st.floats(x0 - 2.0 * tau, x0 + 2.0 * tau))
+
+
+@pytest.mark.parametrize("fast_model, scan_model, fields", _closed_and_scan_pairs())
+@settings(derandomize=True, max_examples=8, deadline=None, database=None)
+@given(seed=_seeds(), p0=st.floats(-2.0, 2.0))
+@example(seed=(0.1, 1.0, 0.97), p0=0.7)
+def test_closed_form_integrate_matches_scan_path(fast_model, scan_model, fields, seed, p0):
+    # The scan runs through both of its callers, eom_step and invert_momentum.
+    tau, x0, x_minus1 = seed
+    c = PhysicalConstants(1.0, tau, HBAR)
+    fast, scan = fast_model(c, *fields), scan_model(c, *fields)
     assert is_standard_family(fast) and not is_standard_family(scan)
-    a = integrate(fast, 1.0, 0.97, 400)
-    b = integrate(scan, 1.0, 0.97, 400)
+    a = integrate(fast, x0, x_minus1, 400)
+    b = integrate(scan, x0, x_minus1, 400)
     assert (a.status, a.failure_step) == (b.status, b.failure_step) == (TrajectoryStatus.COMPLETE, None)
     # Relative to the track's scale: the two roundings differ near zero crossings too.
     for u, v in ((a.positions, b.positions), (a.momenta, b.momenta)):
         np.testing.assert_allclose(u, v, rtol=0, atol=1e-12 * float(np.max(np.abs(v))))
-    tol = 1e-10 * (1.0 / 0.1) * max(1.0, float(np.max(np.abs(a.positions))))
+    tol = 1e-10 * (1.0 / tau) * max(1.0, float(np.max(np.abs(a.positions))))
     assert a.residuals[0] == 0.0 and a.residuals.max() < tol
-    p0 = 0.7
-    np.testing.assert_allclose(invert_momentum(fast, 1.0, p0), invert_momentum(scan, 1.0, p0), rtol=1e-12)
+    np.testing.assert_allclose(invert_momentum(fast, x0, p0), invert_momentum(scan, x0, p0), rtol=1e-12)
 
 
 @pytest.mark.parametrize("omega, x_minus1, label", [(20.0, 1.0, "no_solution_at(1)"), (19.5, 0.9, "no_solution_at(15)")])

@@ -562,7 +562,7 @@ def test_evolve_reports_packet_warnings(tmp_path):
     cfg = write_config(tmp_path, "narrow.json", payload)
     assert main(["evolve", "--config", cfg]) == 0
     report = read_report(out)
-    assert report["results"]["packet_warnings"] == ["axis 0: width 0.07071 below resolvable limit 0.125"]
+    assert report["results"]["packet_warnings"] == ["width 0.07071 below resolvable limit 0.125"]
 
 
 @pytest.mark.parametrize(
