@@ -44,8 +44,6 @@ from .correspondence import (
 from .criterion import CriterionError, CriterionReport, check_criterion
 from .grid import (
     SpatialGrid,
-    WaveState,
-    apply_gauge_phase,
     make_gaussian,
     make_grid,
     momentum_matrix,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .action import ActionModel, GaugedAction, StandardAction
 from .classical import NUMERICAL_FAILURES, NumericalError, TrajectoryStatus, integrate, invert_momentum
-from .grid import SpatialGrid, apply_gauge_phase, make_gaussian, make_grid, packet_observables
+from .grid import SpatialGrid, make_gaussian, make_grid, packet_observables
 from .potentials import GaugePhase, Potential
 # evolve is kept in this namespace: perfbench's tracer rebinds dtqm.correspondence.evolve.
 from .propagator import build_kernel, evolve  # noqa: F401
@@ -118,14 +118,12 @@ def _packet_run(
     # packet's norm (a width that underflows divides by zero), and every row's
     # norm is checked below.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        psi = make_gaussian(grid, x0, p0, alpha, hbar)
+        block[0], packet_warnings = make_gaussian(grid, x0, p0, alpha, hbar)
         for start in range(0, n_record, len(block)):
             # A block after the first follows a full one: its first state is
             # the next step from that block's last row.
             if start:
                 kernel.apply(block[-1], out=block[0])
-            else:
-                block[0] = psi.amplitudes
             rows = block[: n_record - start]
             for r in range(1, len(rows)):
                 kernel.apply(rows[r - 1], out=rows[r])
@@ -145,7 +143,7 @@ def _packet_run(
         x_classical=x_classical,
         p_classical=p_classical,
         kernel=kernel.summary,
-        warnings=psi.warnings,
+        warnings=packet_warnings,
     )
 
 
@@ -286,22 +284,28 @@ def gauge_equivalence_run(
 
     With the gauge term phi(x) - phi(y) added to the action, the gauged
     kernel is exactly Phi U Phi^dagger with Phi = diag(exp(i phi(x_j)/hbar)).
-    Starting run B from Phi psi (applied here as a gauge phase with -phi)
-    makes the two position densities agree to roundoff at every step; the
-    returned number is the worst disagreement seen.
+    Starting run B from Phi psi makes the two position densities agree to
+    roundoff at every step; the returned number is the worst disagreement
+    seen. A density that is not finite raises NumericalError naming the
+    first such step.
     """
     hbar = constants.hbar
     plain = StandardAction(constants, potential)
     gauged = GaugedAction(constants, potential, phase)
     kernel_a = build_kernel(grid, plain, amplitude_mode)
     kernel_b = build_kernel(grid, gauged, amplitude_mode)
-    psi = make_gaussian(grid, x0, p0, alpha, hbar)
-    a = psi.amplitudes.copy()
-    b = apply_gauge_phase(psi, lambda x: -np.asarray(phase.phi(x), dtype=float), hbar).amplitudes.copy()
+    a, _ = make_gaussian(grid, x0, p0, alpha, hbar)
+    b = a * np.exp(1j * phase.phi(grid.points) / hbar)
     worst = 0.0
-    for step in range(n_steps + 1):
-        if step:
-            kernel_a.apply(a, out=a)
-            kernel_b.apply(b, out=b)
-        worst = max(worst, float(np.max(np.abs(np.abs(a) ** 2 - np.abs(b) ** 2))))
+    # Overflow is not reported as a warning: every step's discrepancy is
+    # checked, and it is finite exactly when both densities are.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(n_steps + 1):
+            if step:
+                kernel_a.apply(a, out=a)
+                kernel_b.apply(b, out=b)
+            gap = float(np.max(np.abs(np.abs(a) ** 2 - np.abs(b) ** 2)))
+            if not math.isfinite(gap):
+                raise NumericalError(f"packet density is not finite at step {step}")
+            worst = max(worst, gap)
     return worst

@@ -1,5 +1,6 @@
-"""Uniform periodic 1D position lattices, wavefunctions, and the packet observables.
+"""Uniform periodic 1D position lattices, Gaussian packets, and the packet observables.
 
+A state is a complex array of amplitudes on the lattice's points.
 All integrals over position are realized as rectangle-rule sums with the
 spacing as the cell weight; the lattice is periodic, so its extent counts
 the wrap interval (L = n * dx, not (n-1) * dx).
@@ -13,11 +14,9 @@ import numpy as np
 
 __all__ = [
     "SpatialGrid",
-    "WaveState",
     "make_grid",
     "packet_observables",
     "make_gaussian",
-    "apply_gauge_phase",
     "momentum_matrix",
 ]
 
@@ -44,6 +43,15 @@ class SpatialGrid:
         pts.flags.writeable = False
         return pts
 
+    @cached_property
+    def centred_points(self) -> np.ndarray:
+        """The lattice points less the box centre x_min + L / 2, built on first read; read-only."""
+        # As with points, a lattice past the largest float is not reported here.
+        with np.errstate(over="ignore", invalid="ignore"):
+            pts = self.spacing * (np.arange(self.n_points) - 0.5 * self.n_points)
+        pts.flags.writeable = False
+        return pts
+
 
 def make_grid(n_points: int, x_min: float, spacing: float) -> SpatialGrid:
     """Build a periodic lattice of n_points cells of size spacing."""
@@ -54,30 +62,6 @@ def make_grid(n_points: int, x_min: float, spacing: float) -> SpatialGrid:
     return SpatialGrid(int(n_points), float(x_min), float(spacing))
 
 
-@dataclass(frozen=True, eq=False)
-class WaveState:
-    """Complex amplitudes over a grid; immutable after construction.
-
-    ``warnings`` carries non-fatal quality flags (for instance a Gaussian
-    packet too narrow for the lattice); it never affects the numerics.
-    """
-
-    grid: SpatialGrid
-    amplitudes: np.ndarray
-    warnings: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex)
-        if amps.shape != (self.grid.n_points,):
-            raise ValueError(
-                f"amplitudes shape {amps.shape} does not match grid size {self.grid.n_points}"
-            )
-        if not np.all(np.isfinite(amps.view(float))):
-            raise ValueError("amplitudes must be finite")
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-
-
 def packet_observables(block: np.ndarray, grid: SpatialGrid, hbar: float):
     """Mean position and momentum, position spread and norm of each row of a block.
 
@@ -86,35 +70,43 @@ def packet_observables(block: np.ndarray, grid: SpatialGrid, hbar: float):
     norm, so a series stays meaningful when a non-magic time step lets the
     norm drift. The momentum is the expectation of momentum_matrix, in the
     form w (hbar / dx) Im sum_j conj(a_j) a_{j+1}, with periodic wraparound.
-    Returns four arrays: (x_mean, p_mean, x_spread, norm). The axis comes
-    from the grid's cached points, so a run that reduces one row per
-    call does not rebuild it each time.
+    Returns four arrays: (x_mean, p_mean, x_spread, norm). The spread is
+    taken from the moments about the box centre c, so its rounding is on the
+    scale of the box, not of the distance from the coordinate origin. The
+    axes come from the grid's cached points, so a run that reduces one row
+    per call does not rebuild them each time.
 
     Every reduction runs row by row (a sum or a vecdot), never as one matrix
     product over the block, so a row's values do not depend on how many rows
     the block holds.
     """
-    xs = grid.points
+    xc = grid.centred_points
     w = grid.spacing
     dens = np.abs(block)
     np.square(dens, out=dens)
     nsq = w * dens.sum(axis=1)
-    x_mean = w * np.vecdot(dens, xs) / nsq
-    x_sq = w * np.vecdot(dens, xs * xs) / nsq
+    x_mean = w * np.vecdot(dens, grid.points) / nsq
+    xc_mean = w * np.vecdot(dens, xc) / nsq
+    xc_sq = w * np.vecdot(dens, xc * xc) / nsq
     # vecdot conjugates its first argument; the last term closes the periodic wrap.
     hop = np.vecdot(block[:, :-1], block[:, 1:]).imag + (block[:, -1].conj() * block[:, 0]).imag
     p_mean = w * (hbar / w) * hop / nsq
-    return x_mean, p_mean, np.sqrt(np.maximum(x_sq - x_mean * x_mean, 0.0)), np.sqrt(nsq)
+    return x_mean, p_mean, np.sqrt(np.maximum(xc_sq - xc_mean * xc_mean, 0.0)), np.sqrt(nsq)
 
 
-def make_gaussian(grid: SpatialGrid, x0: float, p0: float, alpha: float, hbar: float) -> WaveState:
+def make_gaussian(
+    grid: SpatialGrid, x0: float, p0: float, alpha: float, hbar: float
+) -> tuple[np.ndarray, tuple[str, ...]]:
     """Minimum-uncertainty Gaussian packet, numerically normalized to 1.
 
-    The position spread is alpha * sqrt(hbar / 2) and the momentum spread
-    sqrt(hbar / 2) / alpha. Packets too narrow for the lattice (sigma < 2 dx)
-    or too wide for the box (sigma > L / 8) are still built but flagged
-    through ``WaveState.warnings``. A packet whose squared norm is zero or
-    not finite (a width that underflows, say) raises FloatingPointError.
+    Returns (amplitudes, warnings): a fresh complex array on the grid's
+    points and the packet's non-fatal quality flags, which never affect the
+    numerics. The position spread is alpha * sqrt(hbar / 2) and the momentum
+    spread sqrt(hbar / 2) / alpha. Packets too narrow for the lattice
+    (sigma < 2 dx) or too wide for the box (sigma > L / 8) are still built
+    but flagged. A packet whose squared norm is zero or not finite (a width
+    that underflows, say) raises FloatingPointError, so the amplitudes
+    returned are finite.
     """
     if not hbar > 0:
         raise ValueError(f"hbar must be positive, got {hbar}")
@@ -135,28 +127,7 @@ def make_gaussian(grid: SpatialGrid, x0: float, p0: float, alpha: float, hbar: f
     if not 0.0 < norm_sq < math.inf:
         raise FloatingPointError(f"Gaussian packet cannot be normalized: squared norm {norm_sq!r}")
     amps /= math.sqrt(norm_sq)
-    return WaveState(grid, amps, tuple(flags))
-
-
-def apply_gauge_phase(psi: WaveState, phi, hbar: float) -> WaveState:
-    """Multiply a state by exp(-i phi(x) / hbar) pointwise; preserves every |psi_j|.
-
-    ``phi`` is either a callable evaluated on the lattice points or an array
-    of per-point values.
-    """
-    if not hbar > 0:
-        raise ValueError(f"hbar must be positive, got {hbar}")
-    grid = psi.grid
-    if callable(phi):
-        values = np.asarray(phi(grid.points), dtype=float)
-        values = np.broadcast_to(values, (grid.n_points,))
-    else:
-        values = np.asarray(phi, dtype=float)
-        if values.shape != (grid.n_points,):
-            raise ValueError(f"phase field shape {values.shape} != ({grid.n_points},)")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("phase field must be finite on all grid points")
-    return WaveState(grid, psi.amplitudes * np.exp(-1j * values / hbar), psi.warnings)
+    return amps, tuple(flags)
 
 
 def momentum_matrix(grid: SpatialGrid, hbar: float) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .action import ActionModel, GaugedAction, StandardAction, is_standard_family
 from .classical import NumericalError
-from .grid import SpatialGrid, WaveState, momentum_matrix
+from .grid import SpatialGrid, momentum_matrix
 
 __all__ = [
     "PropagatorKernel",
@@ -307,11 +307,13 @@ def build_kernel(grid: SpatialGrid, model: ActionModel, amplitude_mode: str = "a
     return PropagatorKernel(grid, model, amplitude, factors, matrix, calibration, q, q_raw)
 
 
-def evolve(kernel: PropagatorKernel, psi: WaveState) -> WaveState:
-    """Advance a state by one step: psi' = U psi."""
-    if psi.grid != kernel.grid:
-        raise ValueError("state and kernel live on different grids")
-    return WaveState(kernel.grid, kernel.apply(psi.amplitudes), psi.warnings)
+def evolve(kernel: PropagatorKernel, amplitudes: np.ndarray) -> np.ndarray:
+    """Advance a state by one step: U psi, as a new array.
+
+    This is the name perfbench's tracer wraps to time one step; the runs
+    themselves step with ``kernel.apply``.
+    """
+    return kernel.apply(amplitudes)
 
 
 def multi_step_pathsum(kernel: PropagatorKernel, k_steps: int, x_initial_index: int, x_final_index: int) -> complex:
@@ -352,7 +354,7 @@ def multi_step_pathsum(kernel: PropagatorKernel, k_steps: int, x_initial_index: 
     return (grid.spacing**k_steps) * (kernel.amplitude**k_steps) * total
 
 
-def momentum_identity_residual(kernel: PropagatorKernel, psi_test: WaveState) -> float:
+def momentum_identity_residual(kernel: PropagatorKernel, psi_test: np.ndarray) -> float:
     """Relative residual of the translation-generator identity.
 
     Builds D_jk = sum_l conj(U_lj) (dS/dy)(x_l, x_k) U_lk, which for a
@@ -362,13 +364,11 @@ def momentum_identity_residual(kernel: PropagatorKernel, psi_test: WaveState) ->
     P, so a broad packet on a fine grid is the intended test state.
     """
     grid = kernel.grid
-    if psi_test.grid != grid:
-        raise ValueError("test state and kernel live on different grids")
     model = kernel.model
     x = grid.points
     grad_y = np.asarray(model.ds_dy(x[:, None], x[None, :]), dtype=float)
     d_matrix = kernel.matrix.conj().T @ (grad_y * kernel.matrix)
     p_matrix = momentum_matrix(grid, model.constants.hbar)
-    p_psi = p_matrix @ psi_test.amplitudes
-    d_psi = d_matrix @ psi_test.amplitudes
+    p_psi = p_matrix @ psi_test
+    d_psi = d_matrix @ psi_test
     return float(np.linalg.norm(d_psi + p_psi) / np.linalg.norm(p_psi))

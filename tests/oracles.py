@@ -1,10 +1,11 @@
 """Single-state 1D lattice observables, as test oracles for ``packet_observables``.
 
-Each function takes one WaveState on a 1D grid and computes its quantity
-directly from the amplitudes in the plainest form: one quadrature sum or
-``np.vdot``, and ``np.roll`` for the central difference. The position
-moments assume a normalized state; ``packet_observables`` divides by the
-row's squared norm instead, and reduces row by row with ``np.vecdot``.
+Each function takes a 1D grid and one state's amplitudes on it, and computes
+its quantity directly from the amplitudes in the plainest form: one
+quadrature sum or ``np.vdot``, ``np.roll`` for the central difference, and
+two passes for the spread. The position moments assume a normalized state;
+``packet_observables`` divides by the row's squared norm instead, and
+reduces row by row with ``np.vecdot``.
 """
 
 import math
@@ -12,34 +13,32 @@ import math
 import numpy as np
 
 
-def inner(a, b) -> complex:
+def inner(grid, a, b) -> complex:
     """Quadrature inner product <a|b>; conjugates the first argument."""
-    return complex(a.grid.spacing * np.vdot(a.amplitudes, b.amplitudes))
+    return complex(grid.spacing * np.vdot(a, b))
 
 
-def norm(psi) -> float:
-    return math.sqrt(inner(psi, psi).real)
+def norm(grid, a) -> float:
+    return math.sqrt(inner(grid, a, a).real)
 
 
-def _density(psi) -> np.ndarray:
-    return psi.grid.spacing * np.abs(psi.amplitudes) ** 2
+def _density(grid, a) -> np.ndarray:
+    return grid.spacing * np.abs(a) ** 2
 
 
-def expect_x(psi) -> float:
+def expect_x(grid, a) -> float:
     """Mean position of a normalized state."""
-    return float(psi.grid.points @ _density(psi))
+    return float(grid.points @ _density(grid, a))
 
 
-def expect_p(psi, hbar: float) -> float:
+def expect_p(grid, a, hbar: float) -> float:
     """Mean momentum from the central difference with periodic wraparound (real part)."""
-    a = psi.amplitudes
-    derivative = (np.roll(a, -1) - np.roll(a, 1)) / (2.0 * psi.grid.spacing)
-    return float((psi.grid.spacing * np.vdot(a, -1j * hbar * derivative)).real)
+    derivative = (np.roll(a, -1) - np.roll(a, 1)) / (2.0 * grid.spacing)
+    return float((grid.spacing * np.vdot(a, -1j * hbar * derivative)).real)
 
 
-def position_spread(psi) -> float:
-    """Standard deviation of position of a normalized state."""
-    xs = psi.grid.points
-    dens = _density(psi)
-    mean = xs @ dens
-    return math.sqrt(max(float((xs * xs) @ dens - mean * mean), 0.0))
+def position_spread(grid, a) -> float:
+    """Standard deviation of position of a normalized state, about its mean: two passes."""
+    dens = _density(grid, a)
+    offsets = grid.points - grid.points @ dens
+    return math.sqrt(float((offsets * offsets) @ dens))

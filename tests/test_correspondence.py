@@ -184,20 +184,36 @@ def test_gauge_equivalence_quadratic_phase():
     assert discrepancy < 1e-10
 
 
+def test_gauge_equivalence_run_raises_at_the_first_non_finite_density():
+    # At 0.37 tau* the 16-point kernels are far from unitary: the amplitudes
+    # grow every step until they overflow, and then go NaN. The run has to
+    # stop there, not return the largest finite discrepancy before it.
+    g = make_grid(16, -4.0, 0.5)
+    c = PhysicalConstants(1.0, 0.37 * magic_time_step(g, 1.0, HBAR), HBAR)
+    args = (g, c, harmonic_potential(1.0, 1.0), quadratic_phase(0.3), 0.0, 0.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"packet density is not finite at step \d+$") as failure:
+            gauge_equivalence_run(*args, 1000)
+        step = int(str(failure.value).rsplit(" ", 1)[1])
+        assert 0 < step < 1000
+        assert math.isfinite(gauge_equivalence_run(*args, step - 1))
+
+
 def test_packet_observables_match_grid_observables():
     g = make_grid(256, -8.0, 0.0625)
     model = magic_standard(g, harmonic_potential(1.0, 1.0))
     kernel = build_kernel(g, model)
-    states = [make_gaussian(g, 0.5, 0.3, 1.0, HBAR)]
+    states = [make_gaussian(g, 0.5, 0.3, 1.0, HBAR)[0]]
     for _ in range(60):
         states.append(evolve(kernel, states[-1]))
-    block = np.array([s.amplitudes for s in states])
+    block = np.array(states)
     x_mean, p_mean, x_spread, norms = packet_observables(block, g, HBAR)
     for n in (0, 1, 17, 42, 60):
-        assert abs(x_mean[n] - expect_x(states[n])) < 1e-13
-        assert abs(p_mean[n] - expect_p(states[n], HBAR)) < 1e-13
-        assert abs(x_spread[n] - position_spread(states[n])) < 1e-13
-        assert abs(norms[n] - norm(states[n])) < 1e-13
+        assert abs(x_mean[n] - expect_x(g, states[n])) < 1e-13
+        assert abs(p_mean[n] - expect_p(g, states[n], HBAR)) < 1e-13
+        assert abs(x_spread[n] - position_spread(g, states[n])) < 1e-13
+        assert abs(norms[n] - norm(g, states[n])) < 1e-13
     # ehrenfest_run reduces the same amplitudes, bit for bit.
     series = ehrenfest_run(model, g, 0.5, 0.3, 1.0, 60)
     for got, want in zip((series.x_mean, series.p_mean, series.x_spread, series.norm), (x_mean, p_mean, x_spread, norms)):
@@ -222,15 +238,15 @@ def test_packet_observables_match_grid_observables_on_an_odd_lattice():
     # Odd N: the hop term's vecdot and the wrap term cover 254 + 1 pairs.
     g = make_grid(255, -8.0, 16.0 / 255)
     kernel = build_kernel(g, magic_standard(g, harmonic_potential(1.0, 1.0)))
-    states = [make_gaussian(g, 0.5, 0.3, 1.0, HBAR)]
+    states = [make_gaussian(g, 0.5, 0.3, 1.0, HBAR)[0]]
     for _ in range(30):
         states.append(evolve(kernel, states[-1]))
-    x_mean, p_mean, x_spread, norms = packet_observables(np.array([s.amplitudes for s in states]), g, HBAR)
+    x_mean, p_mean, x_spread, norms = packet_observables(np.array(states), g, HBAR)
     for n, psi in enumerate(states):
-        assert abs(x_mean[n] - expect_x(psi)) < 1e-13
-        assert abs(p_mean[n] - expect_p(psi, HBAR)) < 1e-13
-        assert abs(x_spread[n] - position_spread(psi)) < 1e-13
-        assert abs(norms[n] - norm(psi)) < 1e-13
+        assert abs(x_mean[n] - expect_x(g, psi)) < 1e-13
+        assert abs(p_mean[n] - expect_p(g, psi, HBAR)) < 1e-13
+        assert abs(x_spread[n] - position_spread(g, psi)) < 1e-13
+        assert abs(norms[n] - norm(g, psi)) < 1e-13
 
 
 @pytest.mark.parametrize("rows", [1, 7, 200])

@@ -15,7 +15,6 @@ from dtqm import (
     QuarticAction,
     SineAction,
     StandardAction,
-    WaveState,
     analytic_amplitude,
     build_kernel,
     evolve,
@@ -185,42 +184,34 @@ def test_calibration_error_on_nonfinite_landscape():
 def test_evolve_preserves_norm_over_100_steps():
     g = make_grid(256, -8.0, 0.0625)
     kernel = build_kernel(g, magic_model(g), "analytic")
-    psi = make_gaussian(g, 0.0, 0.0, 1.0, HBAR)
+    psi, _ = make_gaussian(g, 0.0, 0.0, 1.0, HBAR)
     for _ in range(100):
         psi = evolve(kernel, psi)
-    assert abs(norm(psi) - 1.0) < 1e-6
+    assert abs(norm(g, psi) - 1.0) < 1e-6
 
 
 def test_evolve_adjoint_roundtrip():
     g = grid128()
     kernel = build_kernel(g, magic_model(g, harmonic_potential(1.0, 1.0)), "analytic")
-    psi = make_gaussian(g, 0.5, 0.3, 1.0, HBAR)
+    psi, _ = make_gaussian(g, 0.5, 0.3, 1.0, HBAR)
     forward = evolve(kernel, psi)
-    back = kernel.matrix.conj().T @ forward.amplitudes
+    back = kernel.matrix.conj().T @ forward
     tolerance = 10.0 * kernel.unitarity_deviation + 1e-12
-    assert float(np.max(np.abs(back - psi.amplitudes))) < tolerance
+    assert float(np.max(np.abs(back - psi))) < tolerance
 
 
 def test_evolve_is_linear():
     g = make_grid(64, -4.0, 0.125)
     kernel = build_kernel(g, magic_model(g), "analytic")
     rng = np.random.default_rng(12)
-    psi1 = WaveState(g, rng.normal(size=64) + 1j * rng.normal(size=64))
-    psi2 = WaveState(g, rng.normal(size=64) + 1j * rng.normal(size=64))
+    psi1 = rng.normal(size=64) + 1j * rng.normal(size=64)
+    psi2 = rng.normal(size=64) + 1j * rng.normal(size=64)
     a, b = 0.7 - 0.2j, -1.1 + 0.4j
-    combined = evolve(kernel, WaveState(g, a * psi1.amplitudes + b * psi2.amplitudes))
-    separate = a * evolve(kernel, psi1).amplitudes + b * evolve(kernel, psi2).amplitudes
-    np.testing.assert_allclose(combined.amplitudes, separate, atol=1e-12)
-    zero = evolve(kernel, WaveState(g, np.zeros(64)))
-    assert np.all(zero.amplitudes == 0.0)
-
-
-def test_evolve_grid_mismatch():
-    g = grid128()
-    kernel = build_kernel(g, magic_model(g), "analytic")
-    other = make_gaussian(make_grid(128, -7.0, 0.125), 0.0, 0.0, 1.0, HBAR)
-    with pytest.raises(ValueError):
-        evolve(kernel, other)
+    combined = evolve(kernel, a * psi1 + b * psi2)
+    separate = a * evolve(kernel, psi1) + b * evolve(kernel, psi2)
+    np.testing.assert_allclose(combined, separate, atol=1e-12)
+    zero = evolve(kernel, np.zeros(64, dtype=complex))
+    assert np.all(zero == 0.0)
 
 
 def test_gauged_kernel_is_phase_conjugation_of_standard():
@@ -278,7 +269,7 @@ def test_momentum_identity_residual_free_and_harmonic():
     g = grid128()
     alpha = math.sqrt(2.0)
     free = build_kernel(g, magic_model(g), "analytic")
-    psi = make_gaussian(g, 0.5, 0.0, alpha, HBAR)
+    psi, _ = make_gaussian(g, 0.5, 0.0, alpha, HBAR)
     assert momentum_identity_residual(free, psi) < 1e-2
     harmonic = build_kernel(g, magic_model(g, harmonic_potential(1.0, 1.0)), "analytic")
     assert momentum_identity_residual(harmonic, psi) < 5e-2
@@ -290,14 +281,12 @@ def test_momentum_identity_sign_probe():
 
     g = grid128()
     kernel = build_kernel(g, magic_model(g), "analytic")
-    psi = make_gaussian(g, 0.5, 0.0, math.sqrt(2.0), HBAR)
+    psi, _ = make_gaussian(g, 0.5, 0.0, math.sqrt(2.0), HBAR)
     x = g.points
     grad_y = np.asarray(kernel.model.ds_dy(x[:, None], x[None, :]), dtype=float)
     d_matrix = kernel.matrix.conj().T @ (grad_y * kernel.matrix)
     p = momentum_matrix(g, HBAR)
-    flipped = np.linalg.norm(d_matrix @ psi.amplitudes - p @ psi.amplitudes) / np.linalg.norm(
-        p @ psi.amplitudes
-    )
+    flipped = np.linalg.norm(d_matrix @ psi - p @ psi) / np.linalg.norm(p @ psi)
     assert flipped > 1.0
 
 
@@ -326,7 +315,7 @@ def test_dense_kernels_evolve_by_their_matrix():
     for model in (QuarticAction(c, zero_potential(), 0.1), SineAction(c, 1.0)):
         kernel = build_kernel(g, model, "calibrated")
         v = rng.normal(size=g.n_points) + 1j * rng.normal(size=g.n_points)
-        assert np.array_equal(evolve(kernel, WaveState(g, v)).amplitudes, kernel.matrix @ v)
+        assert np.array_equal(evolve(kernel, v), kernel.matrix @ v)
 
 
 def test_a_2d_action_is_refused_at_the_lattice():
@@ -499,10 +488,10 @@ def test_dense_size_limit_applies_to_the_matrix_only():
     g = make_grid(n, -8.0, 16.0 / n)
     model = magic_model(g, harmonic_potential(1.0, 1.0))
     kernel = build_kernel(g, model)
-    psi = make_gaussian(g, 0.5, 0.3, 1.0, HBAR)
+    psi, _ = make_gaussian(g, 0.5, 0.3, 1.0, HBAR)
     for _ in range(10):
         psi = evolve(kernel, psi)
-    assert abs(norm(psi) - 1.0) < 1e-12
+    assert abs(norm(g, psi) - 1.0) < 1e-12
     with pytest.raises(ValueError, match=f"dense 1D kernels are limited to {MAX_POINTS_1D} points, got {n}"):
         kernel.matrix
     with pytest.raises(ValueError, match="dense 1D kernels are limited"):
