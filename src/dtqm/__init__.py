@@ -17,11 +17,7 @@ from .action import (
     SineAction,
     StandardAction,
     VectorPotentialAction2D,
-    continuum_lagrangian,
-    continuum_lagrangian_2d,
     is_standard_family,
-    lagrangian_limit,
-    lagrangian_limit_2d,
 )
 from .classical import (
     ClassicalTrajectory,
@@ -31,14 +27,12 @@ from .classical import (
     eom_step,
     integrate,
     invert_momentum,
-    leapfrog_reference,
 )
 from .correspondence import (
     BoundaryError,
     CorrespondenceReport,
     EhrenfestSeries,
     ehrenfest_run,
-    gauge_equivalence_run,
     hbar_sweep,
 )
 from .criterion import CriterionError, CriterionReport, check_criterion
@@ -46,7 +40,6 @@ from .grid import (
     SpatialGrid,
     make_gaussian,
     make_grid,
-    momentum_matrix,
     packet_observables,
 )
 from .potentials import (
@@ -70,8 +63,6 @@ from .propagator import (
     build_kernel,
     evolve,
     magic_time_step,
-    momentum_identity_residual,
-    multi_step_pathsum,
     unitarity_defect,
 )
 

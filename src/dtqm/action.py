@@ -21,10 +21,6 @@ __all__ = [
     "SineAction",
     "VectorPotentialAction2D",
     "is_standard_family",
-    "continuum_lagrangian",
-    "lagrangian_limit",
-    "continuum_lagrangian_2d",
-    "lagrangian_limit_2d",
 ]
 
 
@@ -304,50 +300,3 @@ class VectorPotentialAction2D(ActionModel):
             axis=-2,
         )
         return out
-
-
-def continuum_lagrangian(model: ActionModel, x: float, v: float) -> float:
-    """Finite-step ratio S(x, x - tau v) / tau for the 1D admissible family."""
-    if not isinstance(model, StandardAction):
-        raise ValueError(f"unsupported action kind '{model.kind}' for a Lagrangian limit")
-    tau = model.constants.time_step
-    return float(model.s(x, x - tau * v)) / tau
-
-
-def lagrangian_limit(model: ActionModel, x: float, v: float) -> float:
-    """Analytic small-step limit of continuum_lagrangian."""
-    if not isinstance(model, StandardAction):
-        raise ValueError(f"unsupported action kind '{model.kind}' for a Lagrangian limit")
-    value = 0.5 * model.constants.mass * v * v - float(model.potential.v(x))
-    if isinstance(model, GaugedAction):
-        # Total time derivative of the phase generator; kept so the two
-        # routes compare like for like.
-        value += float(model.phase.dphi(x)) * v
-    return value
-
-
-def continuum_lagrangian_2d(model: ActionModel, x, v) -> float:
-    """Finite-step ratio S(x, x - tau v) / tau for the 2D family."""
-    if not isinstance(model, VectorPotentialAction2D):
-        raise ValueError(f"unsupported action kind '{model.kind}' for the 2D Lagrangian limit")
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    tau = model.constants.time_step
-    return float(model.s(x, x - tau * v)) / tau
-
-
-def lagrangian_limit_2d(model: ActionModel, x, v) -> float:
-    """Analytic limit: kinetic term plus q v . A minus the potential.
-
-    The total-derivative part of the perturbation is dropped; q A_a is the
-    derivative of the stream function a_a with respect to its own slot,
-    evaluated at the position.
-    """
-    if not isinstance(model, VectorPotentialAction2D):
-        raise ValueError(f"unsupported action kind '{model.kind}' for the 2D Lagrangian limit")
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    qa1 = float(model.a1.d_da(x[0], x[1]))
-    qa2 = float(model.a2.d_db(x[0], x[1]))
-    kinetic = 0.5 * model.constants.mass * float(v @ v)
-    return kinetic + qa1 * v[0] + qa2 * v[1] - float(model.potential.v(x[0]) + model.potential.v(x[1]))

@@ -29,7 +29,6 @@ __all__ = [
     "NUMERICAL_FAILURES",
     "eom_step",
     "integrate",
-    "leapfrog_reference",
     "invert_momentum",
 ]
 
@@ -262,22 +261,6 @@ def integrate(model: ActionModel, x0, x_minus1, n_steps: int) -> ClassicalTrajec
         status=status,
         failure_step=failure_step,
     )
-
-
-def leapfrog_reference(dv, mass: float, time_step: float, x0: float, x_minus1: float, n_steps: int) -> np.ndarray:
-    """Closed-form position recursion x' = 2x - x_prev - (tau^2/m) V'(x).
-
-    Independent oracle for the admissible 1D family: no root-finding, just
-    the recursion itself.
-    """
-    xs = np.empty(n_steps + 1)
-    xs[0] = x0
-    prev = x_minus1
-    for n in range(n_steps):
-        nxt = 2.0 * xs[n] - prev - (time_step * time_step / mass) * float(dv(xs[n]))
-        prev = xs[n]
-        xs[n + 1] = nxt
-    return xs
 
 
 def _invert_momentum_1d(model, x0, p0):

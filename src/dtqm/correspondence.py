@@ -3,8 +3,7 @@
 Ehrenfest tracking follows lattice expectation values of an evolving packet
 against the discrete classical trajectory started from the same (x0, p0);
 the hbar sweep repeats the experiment on re-tuned grids to show the
-deviation shrinking as hbar does; the gauge run verifies that a phase
-difference in the action is invisible in position densities.
+deviation shrinking as hbar does.
 """
 
 import copy
@@ -13,10 +12,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .action import ActionModel, GaugedAction, StandardAction
+from .action import ActionModel, StandardAction
 from .classical import NUMERICAL_FAILURES, NumericalError, TrajectoryStatus, integrate, invert_momentum
 from .grid import SpatialGrid, make_gaussian, make_grid, packet_observables
-from .potentials import GaugePhase, Potential
 # evolve is kept in this namespace: perfbench's tracer rebinds dtqm.correspondence.evolve.
 from .propagator import build_kernel, evolve  # noqa: F401
 
@@ -26,7 +24,6 @@ __all__ = [
     "CorrespondenceReport",
     "ehrenfest_run",
     "hbar_sweep",
-    "gauge_equivalence_run",
 ]
 
 BOUNDARY_SIGMAS = 5.0
@@ -267,45 +264,3 @@ def hbar_sweep(
         errors=errors,
         packet_warnings=packet_warnings,
     )
-
-
-def gauge_equivalence_run(
-    grid: SpatialGrid,
-    constants,
-    potential: Potential,
-    phase: GaugePhase,
-    x0: float,
-    p0: float,
-    alpha: float = 1.0,
-    n_steps: int = 100,
-    amplitude_mode: str = "analytic",
-) -> float:
-    """Max pointwise density discrepancy between gauged and plain evolutions.
-
-    With the gauge term phi(x) - phi(y) added to the action, the gauged
-    kernel is exactly Phi U Phi^dagger with Phi = diag(exp(i phi(x_j)/hbar)).
-    Starting run B from Phi psi makes the two position densities agree to
-    roundoff at every step; the returned number is the worst disagreement
-    seen. A density that is not finite raises NumericalError naming the
-    first such step.
-    """
-    hbar = constants.hbar
-    plain = StandardAction(constants, potential)
-    gauged = GaugedAction(constants, potential, phase)
-    kernel_a = build_kernel(grid, plain, amplitude_mode)
-    kernel_b = build_kernel(grid, gauged, amplitude_mode)
-    a, _ = make_gaussian(grid, x0, p0, alpha, hbar)
-    b = a * np.exp(1j * phase.phi(grid.points) / hbar)
-    worst = 0.0
-    # Overflow is not reported as a warning: every step's discrepancy is
-    # checked, and it is finite exactly when both densities are.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(n_steps + 1):
-            if step:
-                kernel_a.apply(a, out=a)
-                kernel_b.apply(b, out=b)
-            gap = float(np.max(np.abs(np.abs(a) ** 2 - np.abs(b) ** 2)))
-            if not math.isfinite(gap):
-                raise NumericalError(f"packet density is not finite at step {step}")
-            worst = max(worst, gap)
-    return worst

@@ -16,8 +16,8 @@ from .classical import NumericalError
 
 __all__ = ["CriterionReport", "CriterionError", "check_criterion"]
 
-# Below this magnitude the mean is treated as degenerate and the spread is
-# reported absolutely instead of relatively.
+# A mean at most this fraction of the largest |det| is degenerate: the spread
+# is then reported relative to that largest |det| instead of to the mean.
 DEGENERATE_MEAN = 1e-14
 
 MIN_SAMPLES = 16
@@ -87,8 +87,11 @@ def check_criterion(
     ``domain`` is an interval (lo, hi) applied per axis. ``n_samples`` is a
     lower bound on the number of (x, y) pairs; the stratified grid rounds it
     up to a power of the per-axis resolution. The verdict ``is_constant`` is
-    relative spread below ``tolerance``, except when the mean is degenerate,
-    in which case the absolute spread is compared instead.
+    relative spread below ``tolerance``. The spread is taken relative to the
+    mean, or, when the mean is degenerate (at most DEGENERATE_MEAN times
+    the largest |det|), relative to the largest |det|; it is 0 when every det
+    is 0. Both are ratios, so scaling S by a constant moves them only by
+    rounding.
 
     For 2D actions ``trace_linearized`` is max |d2S/dx1dy1 + d2S/dx2dy2 + 2m/tau|:
     the mixed block's trace less its kinetic part, which the linearized
@@ -118,10 +121,11 @@ def check_criterion(
     # A verdict never comes from a determinant that is not finite.
     if not all(map(math.isfinite, (det_min, det_max, det_mean, spread))):
         raise CriterionError(f"det(d2S/dxdy) is not finite over the domain {tuple(domain)}")
-    if abs(det_mean) < DEGENERATE_MEAN:
-        relative_spread = spread
-    else:
+    largest = max(abs(det_min), abs(det_max))
+    if abs(det_mean) > DEGENERATE_MEAN * largest:
         relative_spread = spread / abs(det_mean)
+    else:  # a degenerate mean, zero included
+        relative_spread = spread / largest if largest else 0.0
     return CriterionReport(
         samples=int(dets.size),
         det_min=det_min,

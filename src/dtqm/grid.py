@@ -17,7 +17,6 @@ __all__ = [
     "make_grid",
     "packet_observables",
     "make_gaussian",
-    "momentum_matrix",
 ]
 
 
@@ -68,8 +67,9 @@ def packet_observables(block: np.ndarray, grid: SpatialGrid, hbar: float):
     This is the lattice's one observables path. Each row holds the raw
     amplitudes of one state. The means are divided by the row's squared
     norm, so a series stays meaningful when a non-magic time step lets the
-    norm drift. The momentum is the expectation of momentum_matrix, in the
-    form w (hbar / dx) Im sum_j conj(a_j) a_{j+1}, with periodic wraparound.
+    norm drift. The momentum is the expectation of the central difference
+    -i hbar (a_{j+1} - a_{j-1}) / (2 dx), with periodic wraparound, in the
+    form w (hbar / dx) Im sum_j conj(a_j) a_{j+1}.
     Returns four arrays: (x_mean, p_mean, x_spread, norm). The spread is
     taken from the moments about the box centre c, so its rounding is on the
     scale of the box, not of the distance from the coordinate origin. The
@@ -128,18 +128,3 @@ def make_gaussian(
         raise FloatingPointError(f"Gaussian packet cannot be normalized: squared norm {norm_sq!r}")
     amps /= math.sqrt(norm_sq)
     return amps, tuple(flags)
-
-
-def momentum_matrix(grid: SpatialGrid, hbar: float) -> np.ndarray:
-    """Dense central-difference momentum matrix of a grid, with periodic wraparound.
-
-    Exactly Hermitian: the only nonzero entries are -i hbar / (2 dx) one step
-    above the diagonal and its conjugate one step below (cyclically).
-    """
-    n = grid.n_points
-    p = np.zeros((n, n), dtype=complex)
-    coeff = -1j * hbar / (2.0 * grid.spacing)
-    idx = np.arange(n)
-    p[idx, (idx + 1) % n] = coeff
-    p[idx, (idx - 1) % n] = -coeff
-    return p

@@ -27,7 +27,7 @@ import numpy as np
 
 from .action import ActionModel, GaugedAction, StandardAction, is_standard_family
 from .classical import NumericalError
-from .grid import SpatialGrid, momentum_matrix
+from .grid import SpatialGrid
 
 __all__ = [
     "PropagatorKernel",
@@ -36,13 +36,10 @@ __all__ = [
     "unitarity_defect",
     "build_kernel",
     "evolve",
-    "multi_step_pathsum",
-    "momentum_identity_residual",
 ]
 
-# Size limits of the dense N x N work (the kernel matrix and calibration) and of the path sum.
+# Size limit of the dense N x N work: the kernel matrix and calibration.
 MAX_POINTS_1D = 1024
-PATHSUM_MAX_POINTS = 64
 # Relative distance of N a / pi from an integer q below which the kinetic
 # factor is taken as the exact chirped DFT of tau = tau* / q: rounding level,
 # so a snapped kernel is the kernel from S at the configured step to roundoff.
@@ -314,61 +311,3 @@ def evolve(kernel: PropagatorKernel, amplitudes: np.ndarray) -> np.ndarray:
     themselves step with ``kernel.apply``.
     """
     return kernel.apply(amplitudes)
-
-
-def multi_step_pathsum(kernel: PropagatorKernel, k_steps: int, x_initial_index: int, x_final_index: int) -> complex:
-    """Brute-force nested quadrature over intermediate positions.
-
-    Sums exp(i (S(x_f, x_m) + ... + S(x_m', x_i)) / hbar) over every chain of
-    k_steps - 1 intermediate lattice points, one cell weight per integration
-    variable plus one for the kernel convention, and amplitude A^k. This is
-    an independent oracle for the composition law: the result must match the
-    (final, initial) element of the k-th matrix power.
-    """
-    grid = kernel.grid
-    if grid.n_points > PATHSUM_MAX_POINTS:
-        raise ValueError(f"path sum limited to {PATHSUM_MAX_POINTS} grid points, got {grid.n_points}")
-    if not 1 <= k_steps <= 3:
-        raise ValueError(f"k_steps must be 1, 2, or 3, got {k_steps}")
-    model = kernel.model
-    hbar = model.constants.hbar
-    xs = grid.points.tolist()
-    x_i = xs[x_initial_index]
-    x_f = xs[x_final_index]
-
-    def step_phase(a, b) -> complex:
-        return cmath.exp(1j * float(model.s(a, b)) / hbar)
-
-    if k_steps == 1:
-        total = step_phase(x_f, x_i)
-    elif k_steps == 2:
-        total = 0.0 + 0.0j
-        for x_m in xs:
-            total += step_phase(x_f, x_m) * step_phase(x_m, x_i)
-    else:
-        total = 0.0 + 0.0j
-        for x_m1 in xs:
-            left = step_phase(x_f, x_m1)
-            for x_m2 in xs:
-                total += left * step_phase(x_m1, x_m2) * step_phase(x_m2, x_i)
-    return (grid.spacing**k_steps) * (kernel.amplitude**k_steps) * total
-
-
-def momentum_identity_residual(kernel: PropagatorKernel, psi_test: np.ndarray) -> float:
-    """Relative residual of the translation-generator identity.
-
-    Builds D_jk = sum_l conj(U_lj) (dS/dy)(x_l, x_k) U_lk, which for a
-    unitary kernel acts on smooth states as minus the momentum operator, and
-    returns ||D psi + P psi|| / ||P psi|| with P the central-difference
-    momentum matrix. The residual is dominated by the O(dx^2) truncation of
-    P, so a broad packet on a fine grid is the intended test state.
-    """
-    grid = kernel.grid
-    model = kernel.model
-    x = grid.points
-    grad_y = np.asarray(model.ds_dy(x[:, None], x[None, :]), dtype=float)
-    d_matrix = kernel.matrix.conj().T @ (grad_y * kernel.matrix)
-    p_matrix = momentum_matrix(grid, model.constants.hbar)
-    p_psi = p_matrix @ psi_test
-    d_psi = d_matrix @ psi_test
-    return float(np.linalg.norm(d_psi + p_psi) / np.linalg.norm(p_psi))

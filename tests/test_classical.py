@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import leapfrog_reference
 
 from dtqm import (
     GaugedAction,
@@ -26,7 +27,6 @@ from dtqm import (
     integrate,
     invert_momentum,
     is_standard_family,
-    leapfrog_reference,
     linear_phase,
     magic_time_step,
     make_grid,

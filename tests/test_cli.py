@@ -66,6 +66,34 @@ def test_evolve_free_packet_100_steps(tmp_path):
     assert max(abs(n - 1.0) for n in norms) < 1e-6
 
 
+@pytest.mark.parametrize("n", [64, 63, 1024, 1023])
+@pytest.mark.parametrize(
+    "action, p0",
+    [
+        ({"kind": "standard", "potential": {"name": "zero"}}, 0.0),
+        ({"kind": "gauged", "potential": {"name": "zero"}, "phase": {"name": "linear", "slope": 0.4}}, 0.4),
+    ],
+    ids=["standard", "gauged"],
+)
+def test_evolve_free_packet_revives_after_one_period(tmp_path, n, action, p0):
+    # At tau* the free kernel is periodic: U^(2N) = I for even N and U^N = exp(-i pi/4) I
+    # for odd N. After one period every observable is back where it started.
+    out = str(tmp_path / "out")
+    n_steps = 2 * n if n % 2 == 0 else n
+    payload = {
+        "grid": {"n_points": n, "x_min": -16.0, "spacing": 32.0 / n},
+        "constants": {"mass": 1.0, "hbar": 1.0, "tau": "magic"},
+        "action": action,
+        "run": {"x0": -3.0, "p0": p0, "n_steps": n_steps},
+        "output": {"directory": out},
+    }
+    assert main(["evolve", "--config", write_config(tmp_path, "revival.json", payload)]) == 0
+    rows = np.loadtxt(os.path.join(out, "evolve.csv"), delimiter=",", skiprows=2)
+    assert len(rows) == n_steps + 1
+    # x_mean, p_mean, x_spread and norm; the bound was measured once and is never widened.
+    assert np.max(np.abs(rows[-1, 1:5] - rows[0, 1:5])) <= 1e-13
+
+
 def test_evolve_zero_steps_single_row(tmp_path):
     out = str(tmp_path / "out")
     payload = harmonic_evolve_config(out)
@@ -165,6 +193,21 @@ def test_check_action_admissible_and_probe(tmp_path):
         },
     )
     assert main(["check-action", "--config", probe]) == 0
+
+    # A quartic probe with S scaled by 1e-20: det(d2S/dxdy) runs from -1.0e-19
+    # to -2.8e-19, and its spread relative to the mean is what it is at scale 1.
+    tiny = write_config(
+        tmp_path,
+        "tiny.json",
+        {
+            "constants": {"mass": 1e-20, "hbar": 1.0, "tau": 0.1},
+            "action": {"kind": "quartic", "potential": {"name": "zero"}, "epsilon": 1e-21},
+            "run": {"domain": [-2.0, 2.0], "expect": "inadmissible"},
+            "output": {"directory": out},
+        },
+    )
+    assert main(["check-action", "--config", tiny]) == 0
+    assert read_report(out)["results"]["criterion"]["relative_spread"] == pytest.approx(1.365, abs=1e-3)
 
     mismatch = write_config(
         tmp_path,

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import expect_p, expect_x, norm, position_spread
+from oracles import expect_p, expect_x, gauge_equivalence_run, norm, position_spread
 
 import dtqm.correspondence
 from dtqm import (
@@ -17,7 +17,6 @@ from dtqm import (
     build_kernel,
     ehrenfest_run,
     evolve,
-    gauge_equivalence_run,
     harmonic_potential,
     hbar_sweep,
     integrate,

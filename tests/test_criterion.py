@@ -54,13 +54,35 @@ def test_sine_probe_not_constant():
     assert report.det_min < report.det_max < 0.0
 
 
-def test_degenerate_mean_uses_absolute_spread():
+def test_degenerate_mean_uses_the_spread_relative_to_the_largest_det():
     # Symmetric domain makes the sampled mean of -cos(x)cos(y) essentially
     # zero; the fallback must still flag the probe as non-constant.
     report = check_criterion(SineAction(CONST, 1.0), (-np.pi, np.pi))
-    assert abs(report.det_mean) < 1e-14
-    assert report.relative_spread == pytest.approx(report.det_max - report.det_min, abs=1e-14)
+    largest = max(abs(report.det_min), abs(report.det_max))
+    assert abs(report.det_mean) < 1e-14 * largest
+    assert report.relative_spread == pytest.approx((report.det_max - report.det_min) / largest, abs=1e-14)
     assert not report.is_constant
+
+
+def _scaled_actions(c):
+    """(action, domain) pairs whose S is c times that at c = 1: mass, epsilon, the
+    harmonic potential built from that mass and the sine strength all carry c."""
+    constants = PhysicalConstants(c, 0.1, 1.0)
+    pot = harmonic_potential(c, 1.0)
+    return [
+        (StandardAction(constants, pot), (-2.0, 2.0)),
+        (QuarticAction(constants, pot, 0.1 * c), (-2.0, 2.0)),
+        (SineAction(constants, c), (-1.0, 1.0)),
+        (SineAction(constants, c), (-np.pi, np.pi)),
+    ]
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+def test_the_verdict_does_not_depend_on_the_scale_of_the_action(scale):
+    for (model, domain), (unit, _) in zip(_scaled_actions(scale), _scaled_actions(1.0)):
+        report, reference = check_criterion(model, domain), check_criterion(unit, domain)
+        assert report.is_constant is (model.kind == "standard"), (model.kind, domain, report)
+        assert report.relative_spread == pytest.approx(reference.relative_spread, rel=1e-12)
 
 
 def test_is_constant_monotone_in_tolerance():

@@ -1,4 +1,4 @@
-"""Export hygiene: every exported name resolves, and the package never imports its tests."""
+"""Export hygiene: every exported name resolves and is used inside the package, which never imports its tests."""
 
 import ast
 import importlib
@@ -34,6 +34,27 @@ def test_every_name_the_package_imports_resolves():
                 assert hasattr(module, alias.name), f"dtqm.{node.module} has no {alias.name!r}"
                 assert alias.name in module.__all__, f"dtqm.{node.module}.__all__ does not list {alias.name!r}"
                 assert getattr(dtqm, alias.name) is getattr(module, alias.name)
+
+
+def test_every_name_the_package_exports_is_used_by_a_package_module():
+    # A function only the tests call is a test oracle: it belongs in tests/oracles.py.
+    referenced = set()
+    for name in os.listdir(SRC):
+        if name.endswith(".py") and name != "__init__.py":
+            for node in ast.walk(_tree(os.path.join(SRC, name))):
+                if isinstance(node, ast.Name):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    referenced.update(alias.name for alias in node.names)
+    exported = [
+        alias.name
+        for node in ast.walk(_tree(dtqm.__file__))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert sorted(set(exported) - referenced) == []
 
 
 def test_no_package_module_imports_from_the_tests():

@@ -11,12 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import expect_p, expect_x, inner, norm, position_spread
+from oracles import expect_p, expect_x, inner, momentum, norm, position_spread
 
 from dtqm import (
     make_gaussian,
     make_grid,
-    momentum_matrix,
     packet_observables,
 )
 
@@ -223,21 +222,6 @@ def test_expect_p_gaussian_packet():
     assert measured == pytest.approx(p0, abs=1e-3)
 
 
-def test_momentum_matrix_is_exactly_hermitian():
-    g = grid128()
-    p = momentum_matrix(g, HBAR)
-    assert np.array_equal(p, p.conj().T)
-
-
-def test_expect_p_matches_momentum_matrix():
-    g = make_grid(64, -4.0, 0.125)
-    psi, _ = make_gaussian(g, 0.3, 0.7, 1.0, HBAR)
-    p = momentum_matrix(g, HBAR)
-    direct = (g.spacing * np.vdot(psi, p @ psi))
-    assert abs(direct.imag) < 1e-9
-    assert p_mean(g, psi) == pytest.approx(direct.real, abs=1e-13)
-
-
 def test_make_gaussian_norm():
     g = grid128()
     psi, flags = make_gaussian(g, 0.0, 0.5, 1.0, HBAR)
@@ -266,8 +250,7 @@ def test_make_gaussian_position_variance():
 def test_make_gaussian_uncertainty_product():
     g = make_grid(256, -8.0, 0.0625)
     psi, _ = make_gaussian(g, 0.0, 0.0, 1.0, HBAR)
-    p = momentum_matrix(g, HBAR)
-    p_psi = p @ psi
+    p_psi = momentum(g, psi, HBAR)
     p_sq = (g.spacing * np.vdot(p_psi, p_psi)).real
     dp = math.sqrt(p_sq - p_mean(g, psi) ** 2)
     product = x_spread(g, psi) * dp

@@ -1,11 +1,11 @@
 """Golden outputs: what a fixed set of ``dtqm`` calls print and write.
 
 The set is the 66 calls of ``perfbench.workloads.generate`` (both workloads,
-seeds 1 and 2, one cycle) and the five README examples. Each call runs in
-process through ``dtqm.cli.main``. GOLDEN.json records, per call, the exit
-code, the stderr text and the SHA-256 of each output file, with the
-wall-clock fields stripped from ``report.json``; its header records the numpy
-version and the platform. The output files are kept next to it, in
+seeds 1 and 2, one cycle), the five README examples and one revival run.
+Each call runs in process through ``dtqm.cli.main``. GOLDEN.json records,
+per call, the exit code, the stderr text and the SHA-256 of each output
+file, with the wall-clock fields stripped from ``report.json``; its header
+records the numpy version and the platform. The output files are kept next to it, in
 ``GOLDEN-out/`` (not checked in), so that a later check can say what moved.
 
     python tools/golden.py            # run every call, write GOLDEN.json
@@ -47,6 +47,14 @@ KEPT = os.path.join(ROOT, "GOLDEN-out")
 VOLATILE = ("wall_time_s",)
 WORKLOADS = ("evolve_1024", "pipeline_1024")
 SEEDS = (1, 2)
+# One period of the free kernel at tau* (2N steps for even N): the last row of
+# evolve.csv repeats row 0 to rounding.
+REVIVAL = {
+    "grid": {"n_points": 256, "x_min": -16.0, "spacing": 0.125},
+    "constants": {"mass": 1.0, "hbar": 1.0, "tau": "magic"},
+    "action": {"kind": "standard", "potential": {"name": "zero"}},
+    "run": {"x0": -3.0, "p0": 0.0, "n_steps": 512},
+}
 
 
 def golden_calls() -> list[tuple[str, str, dict]]:
@@ -61,6 +69,7 @@ def golden_calls() -> list[tuple[str, str, dict]]:
         readme = fh.read()
     for command, block in re.findall(r"^### `([a-z-]+)`.*?```json\n(.*?)```", readme, re.S | re.M):
         calls.append((f"readme-{command}", command, json.loads(block)))
+    calls.append(("revival-evolve", "evolve", REVIVAL))
     return calls
 
 
