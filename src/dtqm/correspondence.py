@@ -27,10 +27,10 @@ __all__ = [
 ]
 
 BOUNDARY_SIGMAS = 5.0
+# Relative to the sweep's largest deviation.
 MONOTONE_SLACK = 1e-6
-# States a packet run holds at once: at most BLOCK_ROWS, and at most
-# BLOCK_BYTES of amplitudes, however many steps it takes.
-BLOCK_ROWS = 64
+# Amplitudes a packet run holds at once, however many steps it takes:
+# 64 rows at N = 1024, and at least one row.
 BLOCK_BYTES = 1 << 20
 
 
@@ -91,7 +91,7 @@ def _packet_run(
     """Evolve a Gaussian packet along a given classical track and record observables.
 
     The amplitudes are evolved block by block: each step is applied in place
-    into the next row of one array (at most BLOCK_ROWS rows and BLOCK_BYTES),
+    into the next row of one array (at most BLOCK_BYTES),
     and a full block is reduced to observables in one pass. A non-finite
     amplitude raises NumericalError.
     """
@@ -108,7 +108,7 @@ def _packet_run(
     kernel = build_kernel(grid, model, amplitude_mode)
     n_record = len(x_classical)
     row_bytes = grid.n_points * np.dtype(complex).itemsize
-    n_rows = max(1, min(BLOCK_ROWS, BLOCK_BYTES // row_bytes, n_record))
+    n_rows = max(1, min(BLOCK_BYTES // row_bytes, n_record))
     block = np.empty((n_rows, grid.n_points), dtype=complex)
     pieces = []
     # Overflow is not reported as a warning: make_gaussian checks the initial
@@ -254,8 +254,8 @@ def hbar_sweep(
             if finest.warnings:
                 packet_warnings[h] = finest.warnings
 
-    # A NaN deviation fails every comparison, so it is never monotone.
-    monotone = not errors and all(b <= a + MONOTONE_SLACK for a, b in zip(deviations, deviations[1:]))
+    slack = MONOTONE_SLACK * max(deviations)
+    monotone = not errors and all(b <= a + slack for a, b in zip(deviations, deviations[1:]))
     return CorrespondenceReport(
         hbar_values=tuple(hbars),
         max_deviation=tuple(deviations),

@@ -22,6 +22,7 @@ eigensolve. The unitarity defect is still measured from the dense matrix.
 
 import cmath
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -56,12 +57,11 @@ class PropagatorKernel:
     integer with tau = tau* / q when ``apply`` is the chirped DFT, else None;
     ``q_raw`` is N a / pi before that snap (see _kernel_factors).
     ``calibration`` is None for analytic kernels and {"offdiag_row_sum": r,
-    "at_bracket_edge": bool} for calibrated ones (see _calibrate_magnitude).
+    "at_bracket_edge": bool} for calibrated ones (see _calibrate_magnitude),
+    whose dense ``phases`` the matrix then scales instead of building them again.
     """
 
-    __slots__ = ("grid", "model", "amplitude", "calibration", "q", "q_raw", "_factors", "_matrix", "_deviation")
-
-    def __init__(self, grid, model, amplitude, factors, matrix, calibration, q, q_raw):
+    def __init__(self, grid, model, amplitude, factors, phases, calibration, q, q_raw):
         self.grid = grid
         self.model = model
         self.amplitude = amplitude
@@ -69,29 +69,24 @@ class PropagatorKernel:
         self.q = q
         self.q_raw = q_raw
         self._factors = factors
-        if matrix is not None:
-            matrix.flags.writeable = False
-        self._matrix = matrix
-        self._deviation = None
+        self._phases = phases
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            _require_dense_size(self.grid)
-            # A named array, as in build_kernel: numpy would otherwise reuse the
-            # temporary in place, and that loop rounds differently in the last bit.
-            phases = _finite(_phase_matrix(self.grid, self.model))
-            with np.errstate(over="ignore", invalid="ignore"):  # as in build_kernel
-                matrix = self.grid.spacing * self.amplitude * phases
-            matrix.flags.writeable = False
-            self._matrix = matrix
-        return self._matrix
+        """w A exp(i S / hbar), the only place the phases are scaled; the phases are then dropped."""
+        phases = _dense_phases(self.grid, self.model) if self._phases is None else self._phases
+        self._phases = None
+        # Overflow of the weight times the amplitude is not reported as a warning:
+        # eigvals and the packet checks refuse a non-finite matrix. ``phases`` is
+        # named: numpy would scale a temporary in place, which rounds differently.
+        with np.errstate(over="ignore", invalid="ignore"):
+            matrix = self.grid.spacing * self.amplitude * phases
+        matrix.flags.writeable = False
+        return matrix
 
-    @property
+    @cached_property
     def unitarity_deviation(self) -> float:
-        if self._deviation is None:
-            self._deviation = unitarity_defect(self.matrix)
-        return self._deviation
+        return unitarity_defect(self.matrix)
 
     @property
     def apply_path(self) -> str:
@@ -176,17 +171,15 @@ def unitarity_defect(matrix: np.ndarray) -> float:
     return float(np.abs(product).sum(axis=1).max())
 
 
-def _phase_matrix(grid: SpatialGrid, model: ActionModel) -> np.ndarray:
-    x = grid.points
-    # Overflow is not reported as a warning: callers check that phases are finite.
-    with np.errstate(over="ignore", invalid="ignore"):
-        action = model.s(x[:, None], x[None, :])
-        return np.exp(1j * np.asarray(action, dtype=float) / model.constants.hbar)
-
-
-def _require_dense_size(grid: SpatialGrid) -> None:
+def _dense_phases(grid: SpatialGrid, model: ActionModel) -> np.ndarray:
+    """exp(i S(x_j, x_k) / hbar) on every pair of points: the one dense build, up to MAX_POINTS_1D."""
     if grid.n_points > MAX_POINTS_1D:
         raise ValueError(f"dense 1D kernels are limited to {MAX_POINTS_1D} points, got {grid.n_points}")
+    x = grid.points
+    # Overflow is not reported as a warning: the phases are checked to be finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        action = model.s(x[:, None], x[None, :])
+        return _finite(np.exp(1j * np.asarray(action, dtype=float) / model.constants.hbar))
 
 
 def _finite(phases: np.ndarray) -> np.ndarray:
@@ -217,7 +210,7 @@ def _kernel_factors(grid: SpatialGrid, model: StandardAction, amplitude: complex
     x = grid.points
     a = c.mass * grid.spacing ** 2 / (2.0 * c.time_step * c.hbar)
     q = n * a / math.pi
-    # As in _phase_matrix, overflow is left to the finiteness checks below.
+    # As in _dense_phases, overflow is left to the finiteness checks below.
     with np.errstate(over="ignore", invalid="ignore"):
         half = 0.5 * np.asarray(model.s(x, x), dtype=float)
         gauge = np.asarray(model.phase.phi(x), dtype=float) if isinstance(model, GaugedAction) else 0.0
@@ -269,7 +262,7 @@ def build_kernel(grid: SpatialGrid, model: ActionModel, amplitude_mode: str = "a
     magnitude that minimizes the deviation inside a +-50% bracket around
     the analytic value, in closed form; it accepts any action kind, including the
     inadmissible probes (whose deviation stays large no matter the
-    magnitude), and builds the dense matrix up front.
+    magnitude), and builds the dense phases up front.
 
     Standard/gauged kernels store FFT factors and are applied by FFT in
     either mode; every other kernel is applied as its dense matrix. Analytic
@@ -288,8 +281,7 @@ def build_kernel(grid: SpatialGrid, model: ActionModel, amplitude_mode: str = "a
             )
         amplitude = reference
     elif amplitude_mode == "calibrated":
-        _require_dense_size(grid)
-        phases = _finite(_phase_matrix(grid, model))
+        phases = _dense_phases(grid, model)
         magnitude, r, at_edge = _calibrate_magnitude(phases, grid.spacing, abs(reference))
         amplitude = (reference / abs(reference)) * magnitude
         calibration = {"offdiag_row_sum": r, "at_bracket_edge": at_edge}
@@ -297,11 +289,7 @@ def build_kernel(grid: SpatialGrid, model: ActionModel, amplitude_mode: str = "a
         raise ValueError(f"unknown amplitude mode '{amplitude_mode}'")
     amplitude = complex(amplitude)
     factors, q, q_raw = _kernel_factors(grid, model, amplitude) if is_standard_family(model) else (None, None, None)
-    # Overflow of the weight times the amplitude is not reported as a warning:
-    # eigvals and the packet checks refuse a non-finite matrix.
-    with np.errstate(over="ignore", invalid="ignore"):
-        matrix = None if phases is None else grid.spacing * amplitude * phases
-    return PropagatorKernel(grid, model, amplitude, factors, matrix, calibration, q, q_raw)
+    return PropagatorKernel(grid, model, amplitude, factors, phases, calibration, q, q_raw)
 
 
 def evolve(kernel: PropagatorKernel, amplitudes: np.ndarray) -> np.ndarray:

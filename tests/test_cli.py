@@ -348,6 +348,19 @@ def test_sweep_monotone_pass(tmp_path):
     assert os.path.exists(os.path.join(out, "sweep_finest.csv"))
 
 
+def test_sweep_of_growing_small_deviations_fails(tmp_path, capsys):
+    # Harmonic deviations of 8e-13, 4e-11 and 7e-9 grow as hbar shrinks; the
+    # slack is relative to the largest, so their small size does not hide that.
+    out = str(tmp_path / "out")
+    payload = sweep_config(out, [1.0, 0.5, 0.25])
+    payload["action"]["potential"] = {"name": "harmonic", "omega": 1.0}
+    cfg = write_config(tmp_path, "sweep.json", payload)
+    assert main(["sweep", "--config", cfg]) == 1
+    sweep = read_report(out)["results"]["sweep"]
+    assert sweep["errors"] == {} and sweep["monotone_flag"] is False
+    assert capsys.readouterr().err.startswith("FAIL: deviation sequence is not non-increasing in hbar")
+
+
 def test_sweep_spacing_underflow_is_a_per_hbar_failure(tmp_path, capsys):
     # The retuned spacing for hbar = 5e-324 underflows to 0: that run fails, the others report.
     out = str(tmp_path / "out")

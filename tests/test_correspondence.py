@@ -5,11 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import expect_p, expect_x, gauge_equivalence_run, norm, position_spread
 
 import dtqm.correspondence
 from dtqm import (
     BoundaryError,
+    GaugedAction,
     NumericalError,
     PhysicalConstants,
     QuarticAction,
@@ -118,6 +121,17 @@ def test_hbar_sweep_harmonic_is_flat_and_small():
     assert all(d < 1e-3 for d in report.max_deviation)
 
 
+def test_hbar_sweep_slack_scales_with_the_deviations():
+    # Every deviation is far below 1e-6, and each is over 50 times the last:
+    # the deviation grows as hbar shrinks, so the sweep is not monotone.
+    model = StandardAction(PhysicalConstants(1.0, 0.1, HBAR), harmonic_potential(1.0, 1.0))
+    report = hbar_sweep(model, [1.0, 0.5, 0.25], 1.0, 0.0, 30, 256)
+    assert report.errors == {}
+    devs = report.max_deviation
+    assert max(devs) < 1e-6 and devs[0] < devs[1] < devs[2]
+    assert not report.monotone_flag
+
+
 def test_hbar_sweep_preconditions():
     with pytest.raises(ValueError):
         hbar_sweep(quartic_model(0.1), [1.0, 0.5], 1.0, 0.0, 10, 128)
@@ -223,9 +237,9 @@ def test_packet_observables_match_grid_observables():
 def test_packet_run_series_does_not_depend_on_the_block_size(monkeypatch, rows):
     g = make_grid(128, -8.0, 0.125)
     model = magic_standard(g, harmonic_potential(1.0, 1.0))
-    reference = ehrenfest_run(model, g, 0.5, 0.3, 1.0, 150)  # longer than one default block
-    assert len(reference.steps) > dtqm.correspondence.BLOCK_ROWS
-    monkeypatch.setattr(dtqm.correspondence, "BLOCK_ROWS", rows)
+    reference = ehrenfest_run(model, g, 0.5, 0.3, 1.0, 150)  # one default block
+    assert len(reference.steps) <= dtqm.correspondence.BLOCK_BYTES // (16 * 128)
+    monkeypatch.setattr(dtqm.correspondence, "BLOCK_BYTES", rows * 16 * 128)
     series = ehrenfest_run(model, g, 0.5, 0.3, 1.0, 150)
     short = ehrenfest_run(model, g, 0.5, 0.3, 1.0, 40)
     for name in ("x_mean", "p_mean", "x_spread", "norm"):
@@ -253,8 +267,33 @@ def test_odd_lattice_series_does_not_depend_on_the_block_size(monkeypatch, rows)
     g = make_grid(255, -8.0, 16.0 / 255)
     model = magic_standard(g, harmonic_potential(1.0, 1.0))
     reference = ehrenfest_run(model, g, 0.5, 0.3, 1.0, 150)
-    monkeypatch.setattr(dtqm.correspondence, "BLOCK_ROWS", rows)
+    monkeypatch.setattr(dtqm.correspondence, "BLOCK_BYTES", rows * 16 * 255)
     series = ehrenfest_run(model, g, 0.5, 0.3, 1.0, 150)
+    for name in ("x_mean", "p_mean", "x_spread", "norm"):
+        np.testing.assert_array_equal(getattr(series, name), getattr(reference, name))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(
+    n=st.integers(16, 300),
+    q=st.integers(1, 7),
+    share=st.sampled_from([1.0, 0.93, 1.7]),
+    gauged=st.booleans(),
+    rows=st.integers(1, 40),
+    n_steps=st.integers(1, 90),
+)
+def test_packet_run_series_does_not_depend_on_the_block_budget(n, q, share, gauged, rows, n_steps):
+    # tau* / q takes the one-FFT path, the other shares the 2N embedding; the
+    # default budget holds every one of these runs in one block. omega = 0.2
+    # keeps the classical orbit stable and inside the box at the largest step.
+    g = make_grid(n, -8.0, 16.0 / n)
+    c = PhysicalConstants(1.0, share * magic_time_step(g, 1.0, HBAR) / q, HBAR)
+    pot = harmonic_potential(1.0, 0.2)
+    model = GaugedAction(c, pot, quadratic_phase(0.3)) if gauged else StandardAction(c, pot)
+    reference = ehrenfest_run(model, g, 0.5, 0.3, 1.0, n_steps)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dtqm.correspondence, "BLOCK_BYTES", rows * 16 * n)
+        series = ehrenfest_run(model, g, 0.5, 0.3, 1.0, n_steps)
     for name in ("x_mean", "p_mean", "x_spread", "norm"):
         np.testing.assert_array_equal(getattr(series, name), getattr(reference, name))
 
@@ -302,7 +341,7 @@ def test_harmonic_tracking_past_the_dense_limit():
     # blocks cut to the byte budget (16 rows here).
     g = make_grid(4096, -8.0, 16.0 / 4096)
     model = magic_standard(g, harmonic_potential(1.0, 1.0))
-    assert dtqm.correspondence.BLOCK_BYTES // (16 * 4096) < dtqm.correspondence.BLOCK_ROWS
+    assert dtqm.correspondence.BLOCK_BYTES // (16 * 4096) == 16
     series = ehrenfest_run(model, g, 0.5, 0.3, 1.0, 250)
     assert series.max_position_deviation() < 1e-3
     assert series.max_momentum_deviation() < 1e-3

@@ -5,6 +5,8 @@ import importlib
 import os
 import pkgutil
 
+import numpy
+
 import dtqm
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -70,3 +72,19 @@ def test_no_package_module_imports_from_the_tests():
             else:
                 continue
             assert not test_modules & set(roots), f"{name} imports {roots} from the tests"
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves():
+    # The benchmark's own tests run apart from these; its tracer rebinds these names by string.
+    path = os.path.join(os.path.dirname(TESTS), "perfbench", "tracer.py")
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "SPAN_TARGETS" for t in node.targets)
+    )
+    assert targets
+    for _, module, attr in targets:
+        assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr} is not callable"
+    # The tracer routes eigvals through dtqm.cli.np, and its restore test reads dtqm.correspondence.evolve.
+    assert importlib.import_module("dtqm.cli").np is numpy
+    assert callable(importlib.import_module("dtqm.correspondence").evolve)

@@ -332,7 +332,7 @@ def test_analytic_evolve_path_does_no_dense_work(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("dense N x N work on the evolve path")
 
-    monkeypatch.setattr(dtqm.propagator, "_phase_matrix", forbidden)
+    monkeypatch.setattr(dtqm.propagator, "_dense_phases", forbidden)
     monkeypatch.setattr(dtqm.propagator, "unitarity_defect", forbidden)
     g = make_grid(1024, -8.0, 16.0 / 1024)
     series = ehrenfest_run(magic_model(g, harmonic_potential(1.0, 1.0)), g, 0.5, 0.3, 1.0, 20)
@@ -360,8 +360,31 @@ def test_unitarity_deviation_is_computed_once(monkeypatch):
     assert kernel.unitarity_deviation == first == unitarity_defect(kernel.matrix)
     assert len(calls) == 1
     # Built on first read bit for bit as a calibrated build assembles it.
-    phases = dtqm.propagator._phase_matrix(g, kernel.model)
+    phases = dtqm.propagator._dense_phases(g, kernel.model)
     assert np.array_equal(kernel.matrix, g.spacing * kernel.amplitude * phases)
+
+
+def test_a_calibrated_kernel_builds_its_dense_phases_once(monkeypatch):
+    import dtqm.propagator
+
+    dense_phases = dtqm.propagator._dense_phases
+    built = []
+
+    def counting(grid, model):
+        built.append(dense_phases(grid, model))
+        return built[-1]
+
+    monkeypatch.setattr(dtqm.propagator, "_dense_phases", counting)
+    g = make_grid(32, -4.0, 0.25)
+    c = PhysicalConstants(1.0, magic_time_step(g, 1.0, HBAR), HBAR)
+    for model in (QuarticAction(c, zero_potential(), 0.1), StandardAction(c, harmonic_potential(1.0, 1.0))):
+        built.clear()
+        kernel = build_kernel(g, model, "calibrated")
+        assert kernel.unitarity_deviation == unitarity_defect(kernel.matrix)
+        kernel.apply(np.ones(g.n_points, dtype=complex))
+        # The matrix scales the phases calibration built; nothing builds them again.
+        assert len(built) == 1
+        assert np.array_equal(kernel.matrix, g.spacing * kernel.amplitude * built[0])
 
 
 def count_ffts(monkeypatch) -> list:
