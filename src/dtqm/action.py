@@ -70,14 +70,12 @@ class ActionModel:
         raise NotImplementedError
 
 
-class StandardAction(ActionModel):
-    """Kinetic difference term with a symmetrically split potential.
+class _KineticAction(ActionModel):
+    """The standard body, extended by the family, the quartic probe and the 2D action.
 
-    The mixed second derivative is the constant -m / tau, which is exactly
-    the property the unitarity criterion singles out.
+    Powers are written as products: a power of an ``np.float64`` goes through
+    the C library's ``pow`` and can round unlike the same power of an array.
     """
-
-    kind = "standard"
 
     def __init__(self, constants: PhysicalConstants, potential: Potential):
         super().__init__(constants)
@@ -85,7 +83,8 @@ class StandardAction(ActionModel):
 
     def s(self, x, y):
         c = self.constants
-        kinetic = 0.5 * c.mass / c.time_step * (x - y) ** 2
+        d = x - y
+        kinetic = 0.5 * c.mass / c.time_step * (d * d)
         return kinetic - 0.5 * c.time_step * (self.potential.v(x) + self.potential.v(y))
 
     def ds_dx(self, x, y):
@@ -100,6 +99,16 @@ class StandardAction(ActionModel):
         c = self.constants
         shape = np.broadcast_shapes(np.shape(x), np.shape(y))
         return np.full(shape, -c.mass / c.time_step)
+
+
+class StandardAction(_KineticAction):
+    """Kinetic difference term with a symmetrically split potential.
+
+    The mixed second derivative is the constant -m / tau, which is exactly
+    the property the unitarity criterion singles out.
+    """
+
+    kind = "standard"
 
 
 class GaugedAction(StandardAction):
@@ -134,7 +143,7 @@ def is_standard_family(model: ActionModel) -> bool:
     return type(model) in (StandardAction, GaugedAction)
 
 
-class QuarticAction(ActionModel):
+class QuarticAction(_KineticAction):
     """Standard action plus eps * (x - y)^4; deliberately inadmissible.
 
     The mixed second derivative picks up -12 eps (x - y)^2, so it is no
@@ -144,28 +153,22 @@ class QuarticAction(ActionModel):
     kind = "quartic_probe"
 
     def __init__(self, constants: PhysicalConstants, potential: Potential, epsilon: float):
-        super().__init__(constants)
-        self.potential = potential
+        super().__init__(constants, potential)
         self.epsilon = float(epsilon)
 
     def s(self, x, y):
-        c = self.constants
         d = x - y
-        base = 0.5 * c.mass / c.time_step * d * d - 0.5 * c.time_step * (
-            self.potential.v(x) + self.potential.v(y)
-        )
-        return base + self.epsilon * d**4
+        return super().s(x, y) + self.epsilon * ((d * d) * (d * d))
 
     def ds_dx(self, x, y):
-        c = self.constants
         d = x - y
-        return c.mass / c.time_step * d - 0.5 * c.time_step * self.potential.dv(x) + 4.0 * self.epsilon * d**3
+        return super().ds_dx(x, y) + 4.0 * self.epsilon * (d * d * d)
 
     def ds_dy(self, x, y):
-        c = self.constants
         d = x - y
-        return -c.mass / c.time_step * d - 0.5 * c.time_step * self.potential.dv(y) - 4.0 * self.epsilon * d**3
+        return super().ds_dy(x, y) - 4.0 * self.epsilon * (d * d * d)
 
+    # Not through super(): the base's np.full would cost every scalar Newton step.
     def d2s_dxdy(self, x, y):
         c = self.constants
         d = x - y
@@ -200,7 +203,7 @@ class SineAction(ActionModel):
         return -self.strength * np.cos(x) * np.cos(y)
 
 
-class VectorPotentialAction2D(ActionModel):
+class VectorPotentialAction2D(_KineticAction):
     """2D standard action plus an antisymmetrized stream-function perturbation.
 
     The perturbation is
@@ -225,8 +228,7 @@ class VectorPotentialAction2D(ActionModel):
         a1: GaugeField2D,
         a2: GaugeField2D,
     ):
-        super().__init__(constants)
-        self.potential = potential
+        super().__init__(constants, potential)
         self.a1 = a1
         self.a2 = a2
 
@@ -237,9 +239,6 @@ class VectorPotentialAction2D(ActionModel):
             raise ValueError(f"2D positions need a trailing axis of length 2, got shape {x.shape}")
         return x[..., 0], x[..., 1]
 
-    def _v(self, x1, x2):
-        return self.potential.v(x1) + self.potential.v(x2)
-
     def perturbation(self, x, y):
         x1, x2 = self._split(x)
         y1, y2 = self._split(y)
@@ -248,55 +247,31 @@ class VectorPotentialAction2D(ActionModel):
         )
 
     def s(self, x, y):
-        c = self.constants
         x1, x2 = self._split(x)
         y1, y2 = self._split(y)
-        kinetic = 0.5 * c.mass / c.time_step * ((x1 - y1) ** 2 + (x2 - y2) ** 2)
-        pot = 0.5 * c.time_step * (self._v(x1, x2) + self._v(y1, y2))
-        return kinetic - pot + self.perturbation(x, y)
+        return super().s(x1, y1) + super().s(x2, y2) + self.perturbation(x, y)
 
     def ds_dx(self, x, y):
-        c = self.constants
         x1, x2 = self._split(x)
         y1, y2 = self._split(y)
-        g1 = (
-            c.mass / c.time_step * (x1 - y1)
-            - 0.5 * c.time_step * self.potential.dv(x1)
-            + 0.5 * (self.a1.d_da(x1, y2) - self.a2.d_da(x1, y2))
-        )
-        g2 = (
-            c.mass / c.time_step * (x2 - y2)
-            - 0.5 * c.time_step * self.potential.dv(x2)
-            + 0.5 * (-self.a1.d_db(y1, x2) + self.a2.d_db(y1, x2))
-        )
+        g1 = super().ds_dx(x1, y1) + 0.5 * (self.a1.d_da(x1, y2) - self.a2.d_da(x1, y2))
+        g2 = super().ds_dx(x2, y2) + 0.5 * (-self.a1.d_db(y1, x2) + self.a2.d_db(y1, x2))
         return np.stack(np.broadcast_arrays(g1, g2), axis=-1)
 
     def ds_dy(self, x, y):
-        c = self.constants
         x1, x2 = self._split(x)
         y1, y2 = self._split(y)
-        h1 = (
-            -c.mass / c.time_step * (x1 - y1)
-            - 0.5 * c.time_step * self.potential.dv(y1)
-            + 0.5 * (-self.a1.d_da(y1, x2) + self.a2.d_da(y1, x2))
-        )
-        h2 = (
-            -c.mass / c.time_step * (x2 - y2)
-            - 0.5 * c.time_step * self.potential.dv(y2)
-            + 0.5 * (self.a1.d_db(x1, y2) - self.a2.d_db(x1, y2))
-        )
+        h1 = super().ds_dy(x1, y1) + 0.5 * (-self.a1.d_da(y1, x2) + self.a2.d_da(y1, x2))
+        h2 = super().ds_dy(x2, y2) + 0.5 * (self.a1.d_db(x1, y2) - self.a2.d_db(x1, y2))
         return np.stack(np.broadcast_arrays(h1, h2), axis=-1)
 
     def d2s_dxdy(self, x, y):
-        c = self.constants
         x1, x2 = self._split(x)
         y1, y2 = self._split(y)
-        diag = np.full(np.broadcast_shapes(np.shape(x1), np.shape(y1)), -c.mass / c.time_step)
         m12 = 0.5 * (self.a1.d2_dadb(x1, y2) - self.a2.d2_dadb(x1, y2))
         m21 = 0.5 * (-self.a1.d2_dadb(y1, x2) + self.a2.d2_dadb(y1, x2))
-        m11, m12, m21, m22 = np.broadcast_arrays(diag, m12, m21, diag)
-        out = np.stack(
+        m11, m12, m21, m22 = np.broadcast_arrays(super().d2s_dxdy(x1, y1), m12, m21, super().d2s_dxdy(x2, y2))
+        return np.stack(
             [np.stack([m11, m12], axis=-1), np.stack([m21, m22], axis=-1)],
             axis=-2,
         )
-        return out

@@ -76,8 +76,6 @@ def _cmd_check_action(cfg: dict, outdir: str, formats: set[str]) -> tuple[dict, 
     run = cfg["run"]
     report = check_criterion(model, tuple(run["domain"]), run["n_samples"], run["tolerance"])
     results = {"criterion": report.as_dict()}
-    if cfg["action"]["kind"] == "vector_potential_2d":
-        results["linearized_max_trace"] = report.trace_linearized
     failures = []
     if report.is_constant != (run["expect"] == "admissible"):
         failures.append(f"expected {run['expect']} action, criterion returned is_constant={report.is_constant}")

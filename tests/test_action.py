@@ -112,6 +112,14 @@ def test_quartic_probe_values():
     off = QuarticAction(constants(tau=0.5), zero_potential(), 0.0)
     xs = np.linspace(-3, 3, 13)
     np.testing.assert_array_equal(off.s(xs[:, None], xs[None, :]), base.s(xs[:, None], xs[None, :]))
+    # At eps = 0 the probe is the standard body it extends, in every evaluator.
+    pot = harmonic_potential(1.0, 1.3)
+    base = StandardAction(constants(tau=0.5), pot)
+    off = QuarticAction(constants(tau=0.5), pot, 0.0)
+    x, y = np.random.default_rng(11).uniform(-5.0, 5.0, size=(2, 200))
+    for name in ("s", "ds_dx", "ds_dy", "d2s_dxdy"):
+        np.testing.assert_array_equal(getattr(off, name)(x, y), getattr(base, name)(x, y))
+        assert all(getattr(off, name)(a, b) == getattr(base, name)(a, b) for a, b in zip(x[:20], y[:20]))
 
 
 def test_sine_probe_values():
@@ -136,6 +144,22 @@ def test_builtins_give_scalars_and_arrays_the_same_bits():
         whole = f(xs)
         assert all(f(np.float64(x)) == w and f(float(x)) == w for x, w in zip(xs, whole))
         np.testing.assert_array_equal(f(ints), f(ints.astype(float)))
+
+
+def test_action_evaluators_give_scalars_and_arrays_the_same_bits():
+    # The classical solver refines in np.float64 the roots that a broadcast scan found.
+    x, y = np.random.default_rng(5).uniform(-5.0, 5.0, size=(2, 400))
+    models = (
+        StandardAction(constants(), harmonic_potential(1.0, 1.2)),
+        StandardAction(constants(tau=0.1), quartic_potential(0.3)),
+        GaugedAction(constants(), cosine_well_potential(0.8, 2.0), quadratic_phase(0.5)),
+        QuarticAction(constants(), harmonic_potential(1.0, 1.0), 0.15),
+        SineAction(constants(), 1.3),
+    )
+    for model in models:
+        for f in (model.s, model.ds_dx, model.ds_dy, model.d2s_dxdy):
+            whole = f(x, y)
+            assert all(f(a, b) == w for a, b, w in zip(x, y, whole)), (model.kind, f.__name__)
 
 
 def _fd_1d(f, x, y, step=FD_STEP):
@@ -226,6 +250,18 @@ def test_vp2d_zero_fields_reduce_to_standard_2d():
     pot = harmonic_potential(1.0, 1.0).v
     expected = kinetic - 0.5 * c.time_step * float(pot(x[0]) + pot(x[1]) + pot(y[0]) + pot(y[1]))
     assert float(model.s(x, y)) == pytest.approx(expected, abs=1e-14)
+    # Each axis is the standard body: gradients and the diagonal block bit for bit.
+    axis = StandardAction(c, quartic_potential(0.3))
+    model = VectorPotentialAction2D(c, axis.potential, zero_field(), zero_field())
+    x, y = np.random.default_rng(12).uniform(-4.0, 4.0, size=(2, 50, 2))
+    for name in ("ds_dx", "ds_dy"):
+        want = np.stack([getattr(axis, name)(x[:, k], y[:, k]) for k in range(2)], axis=-1)
+        np.testing.assert_array_equal(getattr(model, name)(x, y), want)
+    block = model.d2s_dxdy(x, y)
+    for k in range(2):
+        np.testing.assert_array_equal(block[:, k, k], axis.d2s_dxdy(x[:, k], y[:, k]))
+    want = axis.s(x[:, 0], y[:, 0]) + axis.s(x[:, 1], y[:, 1])
+    np.testing.assert_allclose(model.s(x, y), want, rtol=1e-14, atol=1e-14 * float(np.max(np.abs(want))))
 
 
 def test_vp2d_perturbation_vanishes_at_coincident_points():

@@ -241,7 +241,8 @@ def test_check_action_vector_potential_reports_linearized_trace(tmp_path):
     )
     assert main(["check-action", "--config", cfg]) == 0
     report = read_report(out)
-    assert report["results"]["linearized_max_trace"] == 0.0
+    assert report["results"]["criterion"]["trace_linearized"] == 0.0
+    assert "linearized_max_trace" not in report["results"]
 
 
 def test_classical_harmonic_and_sine_probe(tmp_path):

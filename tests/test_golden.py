@@ -63,7 +63,10 @@ def test_a_changed_column_exit_and_report_path_are_named(tmp_path):
     assert "classical: classical.csv differs" in lines
     assert any(line.startswith("    x: largest change ") for line in lines)
     assert "    step" not in "".join(lines)  # an unchanged column is not listed
-    assert "    config.run.x0" in lines and "    results.final_x" in lines
+    assert "    config.run.x0: 0.5 -> 0.500001 (relative 2e-06)" in lines
+    with open(tmp_path / "a" / "classical" / "report.json") as fa, open(tmp_path / "b" / "classical" / "report.json") as fb:
+        x, y = json.load(fa)["results"]["final_x"], json.load(fb)["results"]["final_x"]
+    assert f"    results.final_x: {x!r} -> {y!r} (relative {abs(y - x) / max(abs(x), abs(y)):.3g})" in lines
     assert any(line.startswith("build: exit 0 -> 1") for line in lines)
     # Without the expected run's outputs, a changed file is only named.
     assert "classical: classical.csv differs" in golden.compare(expected, actual, None, str(tmp_path / "b"))

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import gauge_equivalence_run, momentum_identity_residual, multi_step_pathsum, norm
 
 from dtqm import (
@@ -17,6 +19,7 @@ from dtqm import (
     StandardAction,
     analytic_amplitude,
     build_kernel,
+    cosine_well_potential,
     evolve,
     harmonic_potential,
     linear_phase,
@@ -285,6 +288,39 @@ def test_fft_apply_matches_dense_matrix(n, tau_factor, mode):
     for model in models:
         kernel = build_kernel(g, model, mode)
         assert float(np.max(np.abs(kernel.apply(v) - kernel.matrix @ v))) <= 1e-12 * np.linalg.norm(v)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(
+    n=st.integers(4, 300),
+    q=st.integers(1, 7),
+    share=st.sampled_from([1.0, 0.93, 1.7]),
+    potential=st.sampled_from(
+        [zero_potential(), harmonic_potential(1.0, 1.0), quartic_potential(0.3), cosine_well_potential(0.8, 2.0)]
+    ),
+    phase=st.sampled_from([None, linear_phase(0.7), quadratic_phase(0.5)]),
+    centre=st.floats(-30.0, 30.0),
+    spacing=st.floats(0.02, 0.5),
+    mode=st.sampled_from(["analytic", "calibrated"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_apply_matches_the_dense_matrix_to_coordinate_rounding(n, q, share, potential, phase, centre, spacing, mode, seed):
+    # The dense matrix evaluates S(x_j, x_k) from coordinates of size |x|, so
+    # it carries their rounding: about eps max|S| from S itself and
+    # eps (m / tau) max|x| L from the kinetic difference. The chirped kinetic
+    # phase of apply comes from integers and is exact. Units: w |A| sqrt(N) |v|.
+    g = make_grid(n, centre - 0.5 * n * spacing, spacing)
+    c = PhysicalConstants(1.0, share * magic_time_step(g, 1.0, HBAR) / q, HBAR)
+    model = StandardAction(c, potential) if phase is None else GaugedAction(c, potential, phase)
+    kernel = build_kernel(g, model, mode)
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    x = g.points
+    s_max = float(np.max(np.abs(model.s(x[:, None], x[None, :]))))
+    coordinates = c.mass / c.time_step * float(np.max(np.abs(x))) * g.extent
+    unit = spacing * abs(kernel.amplitude) * math.sqrt(n) * np.linalg.norm(v)
+    bound = 4 * np.finfo(float).eps * ((s_max + coordinates) / HBAR + n) * unit
+    assert float(np.max(np.abs(kernel.apply(v) - kernel.matrix @ v))) <= bound
 
 
 @pytest.mark.parametrize("n", [64, 1024])

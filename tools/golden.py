@@ -13,7 +13,8 @@ records the numpy version and the platform. The output files are kept next to it
 
 ``--check`` exits 1 when any call differs from GOLDEN.json. For a changed CSV
 it prints the largest absolute change per column, and for a changed report
-the JSON paths that differ, when the outputs of the written run are kept.
+the JSON paths that differ, a number with its old and new value and their
+relative change, when the outputs of the written run are kept.
 dtqm is imported from ``PYTHONPATH`` when it is there, else from this
 checkout's ``src``: so ``PYTHONPATH=<other checkout>/src`` writes the golden
 file of another version of the program, for a later ``--check`` of this one.
@@ -158,6 +159,27 @@ def json_paths(old, new, path: str = "") -> list[str]:
     return [] if old == new else [path or "."]
 
 
+def _at(value, path: str):
+    """The value at a path that ``json_paths`` returned."""
+    for key, index in re.findall(r"([^.\[\]]+)|\[(\d+)\]", path):
+        value = value.get(key, _MISSING) if key else value[int(index)]
+    return value
+
+
+def report_changes(old: str, new: str) -> list[str]:
+    """The paths at which two reports differ; a number with its old and new value."""
+    a, b = json.loads(_stable_report(old)), json.loads(_stable_report(new))
+    lines = []
+    for path in json_paths(a, b):
+        x, y = _at(a, path), _at(b, path)
+        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y)):
+            relative = abs(y - x) / max(abs(x), abs(y))
+            lines.append(f"{path}: {x!r} -> {y!r} (relative {relative:.3g})")
+        else:
+            lines.append(path)
+    return lines
+
+
 def compare(expected: list[dict], actual: list[dict], expected_dir: str | None, actual_dir: str) -> list[str]:
     """How the records of ``actual`` differ from ``expected``: one line per difference.
 
@@ -186,8 +208,7 @@ def compare(expected: list[dict], actual: list[dict], expected_dir: str | None, 
             if f.endswith(".csv"):
                 lines.extend(f"    {line}" for line in csv_changes(before, after))
             elif f == "report.json":
-                paths = json_paths(json.loads(_stable_report(before)), json.loads(_stable_report(after)))
-                lines.extend(f"    {p}" for p in paths)
+                lines.extend(f"    {line}" for line in report_changes(before, after))
     lines.extend(f"{name}: not in the golden file" for name in by_name)
     return lines
 
