@@ -56,8 +56,10 @@ def _write_series_csv(path: str, s) -> None:
 
 def _write_report(outdir: str, report: dict) -> str:
     path = os.path.join(outdir, "report.json")
+    # Strict JSON: a NaN or infinity raises ValueError before the file is opened.
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        fh.write(text + "\n")
     return path
 
 
@@ -157,7 +159,7 @@ def _cmd_sweep(cfg: dict, outdir: str, formats: set[str]) -> tuple[dict, list[st
         _write_series_csv(os.path.join(outdir, "sweep_finest.csv"), report.finest)
     results = {"sweep": report.as_dict(), "mass": cfg["constants"]["mass"], "tau": cfg["constants"]["tau"]}
     failures = [f"hbar={h}: {msg}" for h, msg in sorted(report.errors.items(), reverse=True)]
-    if not report.monotone_flag:
+    if not report.monotone_flag and not report.errors:
         failures.append("deviation sequence is not non-increasing in hbar")
     return results, failures
 

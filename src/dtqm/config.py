@@ -324,8 +324,8 @@ _RULES = [
      lambda c: "command 'sweep' needs a standard or gauged action (its kernels use the analytic amplitude)"),
     (lambda c: c["run"].get("amplitude_mode") == "analytic" and c["action"]["kind"] not in ("standard", "gauged"),
      lambda c: "analytic amplitude mode needs a standard or gauged action; use 'calibrated'"),
-    # build reads the dense matrix for its unitarity defect (and for eigvals off
-    # the Gauss-sum case); calibration always builds it.
+    # build reads the dense phases' Gram rows for its unitarity defect (and the
+    # matrix for eigvals off the Gauss-sum case); calibration always builds them.
     (lambda c: (c["command"] == "build" or c["run"].get("amplitude_mode") == "calibrated")
      and c["grid"]["n_points"] > MAX_POINTS_1D,
      lambda c: f"dense 1D kernels are limited to {MAX_POINTS_1D} points, got {c['grid']['n_points']}"),

@@ -187,7 +187,7 @@ class CorrespondenceReport:
     def as_dict(self) -> dict:
         return {
             "hbar_values": list(self.hbar_values),
-            "max_deviation": list(self.max_deviation),
+            "max_deviation": [None if h in self.errors else d for h, d in zip(self.hbar_values, self.max_deviation)],
             "monotone_flag": self.monotone_flag,
             "errors": {repr(k): v for k, v in self.errors.items()},
             "packet_warnings": {repr(k): list(v) for k, v in self.packet_warnings.items()},

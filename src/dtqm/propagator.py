@@ -12,12 +12,14 @@ where K is a chirped DFT, and a size-2N pair otherwise. Every other kernel
 (the probes) is applied as a dense matrix. The dense matrix and the
 unitarity defect are built on first read, up to MAX_POINTS_1D points.
 Unitarity is quantified by the max-row-sum norm of U U^dagger - I, which
-bounds the worst-case action on normalized states.
+bounds the worst-case action on normalized states. With U = w A P and P
+unimodular, U U^dagger = (w |A|)^2 P P^dagger: the defect and the
+calibration read the row sums of one Gram product |P P^dagger|.
 
 At tau* / q with gcd(q, N) = 1 the chirped DFT is sqrt(N) times a unitary,
 so U is w |A| sqrt(N) times a unitary and every eigenvalue has that
 magnitude (the Gauss sum); ``gauss_sum_magnitude`` gives it without an
-eigensolve. The unitarity defect is still measured from the dense matrix.
+eigensolve. The unitarity defect is still measured from the dense phases.
 """
 
 import cmath
@@ -30,14 +32,7 @@ from .action import ActionModel, GaugedAction, StandardAction, is_standard_famil
 from .classical import NumericalError
 from .grid import SpatialGrid
 
-__all__ = [
-    "PropagatorKernel",
-    "magic_time_step",
-    "analytic_amplitude",
-    "unitarity_defect",
-    "build_kernel",
-    "evolve",
-]
+__all__ = ["PropagatorKernel", "magic_time_step", "analytic_amplitude", "unitarity_defect", "build_kernel", "evolve"]
 
 # Size limit of the dense N x N work: the kernel matrix and calibration.
 MAX_POINTS_1D = 1024
@@ -57,25 +52,33 @@ class PropagatorKernel:
     integer with tau = tau* / q when ``apply`` is the chirped DFT, else None;
     ``q_raw`` is N a / pi before that snap (see _kernel_factors).
     ``calibration`` is None for analytic kernels and {"offdiag_row_sum": r,
-    "at_bracket_edge": bool} for calibrated ones (see _calibrate_magnitude),
-    whose dense ``phases`` the matrix then scales instead of building them again.
+    "at_bracket_edge": bool} for calibrated ones (see _calibrate), whose
+    ``dense`` (phases, Gram rows) the kernel keeps; else the first read of
+    ``matrix`` or ``unitarity_deviation`` builds them (see _dense_phases).
     """
 
-    def __init__(self, grid, model, amplitude, factors, phases, calibration, q, q_raw):
+    def __init__(self, grid, model, amplitude, factors, dense, calibration, q, q_raw):
         self.grid = grid
         self.model = model
         self.amplitude = amplitude
         self.calibration = calibration
         self.q = q
         self.q_raw = q_raw
+        self.gcd_q_n = math.gcd(q, grid.n_points) if q is not None else None
         self._factors = factors
-        self._phases = phases
+        self._phases, self._gram_rows = dense or (None, None)
+
+    def _dense_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (diagonal, off-diagonal) Gram row sums, built with the phases once per kernel."""
+        if self._gram_rows is None:
+            self._phases, self._gram_rows = _dense_phases(self.grid, self.model)
+        return self._gram_rows
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """w A exp(i S / hbar), the only place the phases are scaled; the phases are then dropped."""
-        phases = _dense_phases(self.grid, self.model) if self._phases is None else self._phases
-        self._phases = None
+        self._dense_rows()
+        phases, self._phases = self._phases, None
         # Overflow of the weight times the amplitude is not reported as a warning:
         # eigvals and the packet checks refuse a non-finite matrix. ``phases`` is
         # named: numpy would scale a temporary in place, which rounds differently.
@@ -86,7 +89,12 @@ class PropagatorKernel:
 
     @cached_property
     def unitarity_deviation(self) -> float:
-        return unitarity_defect(self.matrix)
+        """max_j |s d_j - 1| + s off_j, s = (w |A|)^2, from the Gram row sums (see unitarity_defect)."""
+        diagonal, offdiag = self._dense_rows()
+        weight = self.grid.spacing * abs(self.amplitude)
+        # Overflow is not reported as a warning: a report refuses a non-finite defect.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.max(np.abs(weight * weight * diagonal - 1.0) + weight * weight * offdiag))
 
     @property
     def apply_path(self) -> str:
@@ -100,12 +108,11 @@ class PropagatorKernel:
         """The reports' ``kernel`` block: ``apply`` (see apply_path), ``q``, ``gcd_q_n`` = gcd(q, N)
         and ``q_offset`` = q_raw / q - 1, the relative snap of the applied step to tau* / q.
         """
-        magic = self.q is not None
         return {
             "apply": self.apply_path,
             "q": self.q,
-            "gcd_q_n": math.gcd(self.q, self.grid.n_points) if magic else None,
-            "q_offset": self.q_raw / self.q - 1.0 if magic else None,
+            "gcd_q_n": self.gcd_q_n,
+            "q_offset": None if self.q is None else self.q_raw / self.q - 1.0,
         }
 
     @property
@@ -116,10 +123,7 @@ class PropagatorKernel:
         is unitary, and so is U / (w |A| sqrt(N)): |left| = w |A| and
         |right| = 1 (see _kernel_factors).
         """
-        n = self.grid.n_points
-        if self.q is None or math.gcd(self.q, n) != 1:
-            return None
-        return self.grid.spacing * abs(self.amplitude) * math.sqrt(n)
+        return self.grid.spacing * abs(self.amplitude) * math.sqrt(self.grid.n_points) if self.gcd_q_n == 1 else None
 
     def apply(self, amplitudes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """U v, by FFT when the kernel has factors and as a dense matvec otherwise.
@@ -157,29 +161,33 @@ def magic_time_step(grid: SpatialGrid, mass: float, hbar: float) -> float:
 
 
 def analytic_amplitude(model: ActionModel) -> complex:
-    """Continuum stationary-phase amplitude, one factor of e^{-i pi/4} per axis."""
+    """Continuum stationary-phase amplitude of a 1D action: sqrt(m / (2 pi hbar tau)) e^{-i pi/4}."""
     c = model.constants
-    d = model.dimension
-    magnitude = (c.mass / (2.0 * math.pi * c.hbar * c.time_step)) ** (d / 2.0)
-    return cmath.exp(-1j * math.pi * d / 4.0) * magnitude
+    magnitude = (c.mass / (2.0 * math.pi * c.hbar * c.time_step)) ** 0.5
+    return cmath.exp(-1j * math.pi / 4.0) * magnitude
 
 
-def unitarity_defect(matrix: np.ndarray) -> float:
-    """Max-row-sum norm of U U^dagger - I."""
-    product = matrix @ matrix.conj().T
-    product[np.diag_indices_from(product)] -= 1.0
-    return float(np.abs(product).sum(axis=1).max())
+def unitarity_defect(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row sums (d, off) of the diagonal and the off-diagonal of |P P^dagger|: a dense kernel's one N^3 product.
+
+    For U = w A P, row j of |U U^dagger - I| sums to |s d_j - 1| + s off_j, s = (w |A|)^2.
+    """
+    gram = np.abs(phases @ phases.conj().T)
+    diagonal = gram.diagonal().copy()
+    np.fill_diagonal(gram, 0.0)
+    return diagonal, gram.sum(axis=1)
 
 
-def _dense_phases(grid: SpatialGrid, model: ActionModel) -> np.ndarray:
-    """exp(i S(x_j, x_k) / hbar) on every pair of points: the one dense build, up to MAX_POINTS_1D."""
+def _dense_phases(grid: SpatialGrid, model: ActionModel):
+    """(P, its Gram row sums), P = exp(i S(x_j, x_k) / hbar): the one dense build, up to MAX_POINTS_1D."""
     if grid.n_points > MAX_POINTS_1D:
         raise ValueError(f"dense 1D kernels are limited to {MAX_POINTS_1D} points, got {grid.n_points}")
     x = grid.points
     # Overflow is not reported as a warning: the phases are checked to be finite.
     with np.errstate(over="ignore", invalid="ignore"):
         action = model.s(x[:, None], x[None, :])
-        return _finite(np.exp(1j * np.asarray(action, dtype=float) / model.constants.hbar))
+        phases = _finite(np.exp(1j * np.asarray(action, dtype=float) / model.constants.hbar))
+    return phases, unitarity_defect(phases)
 
 
 def _finite(phases: np.ndarray) -> np.ndarray:
@@ -234,23 +242,20 @@ def _kernel_factors(grid: SpatialGrid, model: StandardAction, amplitude: complex
     return (left, right, spectrum, rows), magic_q, q
 
 
-def _calibrate_magnitude(phases: np.ndarray, weight: float, center: float):
-    """|A| minimizing the unitarity defect over [0.5, 1.5] x the analytic value.
+def _calibrate(offdiag: np.ndarray, weight: float, reference: complex):
+    """(A, calibration): the analytic phase, and the |A| minimizing the defect over [0.5, 1.5] x the analytic value.
 
-    Returns (magnitude, r, at_bracket_edge). Every phase is unimodular, so
-    (U U^dagger)_jj = w^2 |A|^2 N exactly and the defect is
-    |w^2 |A|^2 N - 1| + w^2 |A|^2 r, with r = max_j sum_{k != j} |(P P^dagger)_jk|.
-    That is piecewise linear in |A|^2: for r < N its minimum is at
-    |A| = 1 / (w sqrt(N)), clamped into the bracket; for r >= N the defect
-    does not fall as |A| grows, and the bracket's lower edge is taken.
+    Every phase is unimodular, so (U U^dagger)_jj = w^2 |A|^2 N exactly and
+    the defect is |w^2 |A|^2 N - 1| + w^2 |A|^2 r, with r = max_j sum_{k != j}
+    |(P P^dagger)_jk|, the largest ``offdiag`` row sum. That is piecewise
+    linear in |A|^2: for r < N its minimum is at |A| = 1 / (w sqrt(N)),
+    clamped into the bracket; for r >= N the defect does not fall as |A|
+    grows, and the bracket's lower edge is taken.
     """
-    n = len(phases)
-    gram = np.abs(phases @ phases.conj().T)
-    np.fill_diagonal(gram, 0.0)
-    r = float(gram.sum(axis=1).max())
+    n, r, center = len(offdiag), float(offdiag.max()), abs(reference)
     lo, hi = 0.5 * center, 1.5 * center
     magnitude = min(max(1.0 / (weight * math.sqrt(n)), lo), hi) if r < n else lo
-    return magnitude, r, magnitude in (lo, hi)
+    return (reference / center) * magnitude, {"offdiag_row_sum": r, "at_bracket_edge": magnitude in (lo, hi)}
 
 
 def build_kernel(grid: SpatialGrid, model: ActionModel, amplitude_mode: str = "analytic") -> PropagatorKernel:
@@ -262,7 +267,7 @@ def build_kernel(grid: SpatialGrid, model: ActionModel, amplitude_mode: str = "a
     magnitude that minimizes the deviation inside a +-50% bracket around
     the analytic value, in closed form; it accepts any action kind, including the
     inadmissible probes (whose deviation stays large no matter the
-    magnitude), and builds the dense phases up front.
+    magnitude), and builds the dense phases and their Gram rows up front.
 
     Standard/gauged kernels store FFT factors and are applied by FFT in
     either mode; every other kernel is applied as its dense matrix. Analytic
@@ -273,29 +278,21 @@ def build_kernel(grid: SpatialGrid, model: ActionModel, amplitude_mode: str = "a
     if model.dimension != 1:
         raise ValueError(f"kernels are built on a 1D lattice, got a {model.dimension}D action")
     reference = analytic_amplitude(model)
-    phases = calibration = None
+    dense = calibration = None
     if amplitude_mode == "analytic":
         if not isinstance(model, StandardAction):
-            raise ValueError(
-                f"analytic amplitude mode requires the standard/gauged family, got '{model.kind}'"
-            )
+            raise ValueError(f"analytic amplitude mode requires the standard/gauged family, got '{model.kind}'")
         amplitude = reference
     elif amplitude_mode == "calibrated":
-        phases = _dense_phases(grid, model)
-        magnitude, r, at_edge = _calibrate_magnitude(phases, grid.spacing, abs(reference))
-        amplitude = (reference / abs(reference)) * magnitude
-        calibration = {"offdiag_row_sum": r, "at_bracket_edge": at_edge}
+        dense = _dense_phases(grid, model)
+        amplitude, calibration = _calibrate(dense[1][1], grid.spacing, reference)
     else:
         raise ValueError(f"unknown amplitude mode '{amplitude_mode}'")
     amplitude = complex(amplitude)
     factors, q, q_raw = _kernel_factors(grid, model, amplitude) if is_standard_family(model) else (None, None, None)
-    return PropagatorKernel(grid, model, amplitude, factors, phases, calibration, q, q_raw)
+    return PropagatorKernel(grid, model, amplitude, factors, dense, calibration, q, q_raw)
 
 
 def evolve(kernel: PropagatorKernel, amplitudes: np.ndarray) -> np.ndarray:
-    """Advance a state by one step: U psi, as a new array.
-
-    This is the name perfbench's tracer wraps to time one step; the runs
-    themselves step with ``kernel.apply``.
-    """
+    """U psi as a new array: the name perfbench's tracer wraps; the runs step with ``kernel.apply``."""
     return kernel.apply(amplitudes)

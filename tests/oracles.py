@@ -7,6 +7,10 @@ passes for the spread. The position moments assume a normalized state;
 ``packet_observables`` divides by the row's squared norm instead, and
 reduces row by row with ``np.vecdot``.
 
+The unitarity defect oracle forms U U^dagger from the dense matrix and takes
+the max-row-sum norm of U U^dagger - I; the kernel reads its defect from the
+Gram rows of its phases instead.
+
 The construction oracles check the package against the paper: the path sum
 against matrix powers (the composition law), the translation generator
 D = U^dagger (dS/dy o U) against minus the momentum, the leapfrog recursion
@@ -56,6 +60,13 @@ def position_spread(grid, a) -> float:
     dens = _density(grid, a)
     offsets = grid.points - grid.points @ dens
     return math.sqrt(float((offsets * offsets) @ dens))
+
+
+def max_row_sum_defect(matrix) -> float:
+    """Max-row-sum norm of U U^dagger - I."""
+    product = matrix @ matrix.conj().T
+    product[np.diag_indices_from(product)] -= 1.0
+    return float(np.abs(product).sum(axis=1).max())
 
 
 def multi_step_pathsum(kernel, k_steps: int, x_initial_index: int, x_final_index: int) -> complex:

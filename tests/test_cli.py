@@ -28,9 +28,14 @@ def harmonic_evolve_config(outdir):
     }
 
 
+def _reject_constant(name):
+    raise ValueError(f"report.json holds {name}, which strict JSON does not allow")
+
+
 def read_report(outdir):
+    """report.json, parsed strictly: NaN, Infinity and -Infinity are rejected."""
     with open(os.path.join(outdir, "report.json"), encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 def test_evolve_pass_and_csv_shape(tmp_path):
@@ -369,10 +374,26 @@ def test_sweep_spacing_underflow_is_a_per_hbar_failure(tmp_path, capsys):
     assert main(["sweep", "--config", cfg]) == 1
     sweep = read_report(out)["results"]["sweep"]
     assert sweep["errors"] == {"5e-324": "ValueError: spacing must be positive, got 0.0"}
-    assert all(math.isfinite(d) for d in sweep["max_deviation"][:2])
-    assert capsys.readouterr().err.startswith("FAIL: hbar=5e-324: ValueError: spacing must be positive")
+    assert all(math.isfinite(d) for d in sweep["max_deviation"][:2]) and sweep["max_deviation"][2] is None
+    # The failed run's own line says why the sweep fails; no monotonicity line follows.
+    assert capsys.readouterr().err == "FAIL: hbar=5e-324: ValueError: spacing must be positive, got 0.0\n"
     # sweep_finest.csv is the smallest hbar's run; that run failed, so there is none.
     assert not os.path.exists(os.path.join(out, "sweep_finest.csv"))
+
+
+def test_a_sweep_whose_runs_all_fail_writes_strict_json(tmp_path, capsys):
+    # Every packet reaches the box edge: the report holds null, never NaN, for each failed run.
+    out = str(tmp_path / "out")
+    payload = sweep_config(out, [1.0, 0.5, 0.05])
+    payload["grid"]["n_points"] = 64
+    payload["action"]["potential"] = {"name": "harmonic", "omega": 1.0}
+    payload["run"]["x0"] = 2.0
+    assert main(["sweep", "--config", write_config(tmp_path, "sweep.json", payload)]) == 1
+    sweep = read_report(out)["results"]["sweep"]
+    assert sweep["max_deviation"] == [None, None, None] and sweep["monotone_flag"] is False
+    assert sorted(sweep["errors"]) == ["0.05", "0.5", "1.0"]
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 3 and all(line.startswith("FAIL: hbar=") for line in lines)
 
 
 def test_sweep_short_hbar_list_is_config_error(tmp_path):
@@ -553,6 +574,35 @@ def test_build_probe_kernel_fails_tolerance(tmp_path):
     # The probe's off-diagonal row sum exceeds N, so the bracket's lower edge is taken.
     assert results["calibration"]["offdiag_row_sum"] > 128
     assert results["calibration"]["at_bracket_edge"] is True
+
+
+@pytest.mark.parametrize(
+    "action, tau",
+    [
+        ({"kind": "quartic", "potential": {"name": "zero"}, "epsilon": 0.1}, "magic"),
+        ({"kind": "sine", "strength": 1.0}, "magic"),
+        ({"kind": "standard", "potential": {"name": "harmonic", "omega": 1.0}}, 0.93 / math.pi),
+        ({"kind": "gauged", "potential": {"name": "zero"}, "phase": {"name": "quadratic", "curvature": 0.3}}, 1.7 / math.pi),
+    ],
+)
+def test_a_calibrated_build_report_explains_its_defect(tmp_path, action, tau):
+    # README: the deviation is |s N - 1| + s r, with s = (w |A|)^2 and r the
+    # calibration's off-diagonal row sum; all of it is read from report.json.
+    out = str(tmp_path / "out")
+    payload = {
+        "grid": {"n_points": 128, "x_min": -8.0, "spacing": 0.125},
+        "constants": {"mass": 1.0, "hbar": 1.0, "tau": tau},
+        "action": action,
+        "run": {"amplitude_mode": "calibrated"},
+        "output": {"directory": out},
+    }
+    assert main(["build", "--config", write_config(tmp_path, "build.json", payload)]) == 0
+    results = read_report(out)["results"]
+    assert results["kernel"]["gcd_q_n"] is None
+    s = (results["spacing"] * results["amplitude_magnitude"]) ** 2
+    explained = abs(s * results["n_points"] - 1.0) + s * results["calibration"]["offdiag_row_sum"]
+    deviation = results["unitarity_deviation"]
+    assert abs(deviation - explained) <= 4 * np.finfo(float).eps * max(1.0, deviation)
 
 
 def test_build_analytic_mode_rejects_probe_kind(tmp_path):
@@ -1054,7 +1104,7 @@ def test_report_bytes_match_json_dump(tmp_path):
     from dtqm.cli import _write_report
 
     report = {
-        "z": [1, 2.5, None, True, {"b": 1e-300, "a": [float("inf"), -0.0]}],
+        "z": [1, 2.5, None, True, {"b": 1e-300, "a": [1.7976931348623157e308, -0.0]}],
         "config": {"run": {"hbar_list": [1.0, 0.5]}, "name": "café"},
         "results": {"sweep": {"errors": {}, "deviations": {"1.0": 0.1 / 3.0}}, "empty": []},
         "pass": False,
@@ -1065,3 +1115,10 @@ def test_report_bytes_match_json_dump(tmp_path):
     path = _write_report(str(tmp_path), report)
     with open(path, "rb") as fh:
         assert fh.read() == old.getvalue().encode("utf-8")
+    # Strict JSON: a non-finite number is refused before any byte is written.
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _write_report(str(bad), report | {"z": [value]})
+    assert not (bad / "report.json").exists()

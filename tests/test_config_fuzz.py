@@ -7,8 +7,9 @@ an unknown key or a missing key). Each one runs through ``cli.main``. The
 exit code must be 0, 1, 2 or 3, never 4; it is 2 exactly when ``load_config``
 rejects the config, and an exit 2 leaves no output directory; exits 2 and 3
 print exactly one stderr line; no warning and no traceback reaches stderr; a
-mutation that breaks the schema exits 2; and some pinned draws must give one
-exit code.
+mutation that breaks the schema exits 2; an exit 0 or 1 writes a
+``report.json`` that a strict JSON parser accepts; and some pinned draws
+must give one exit code.
 """
 
 import contextlib
@@ -21,6 +22,7 @@ import warnings
 
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
+from test_cli import read_report
 
 from dtqm import config
 from dtqm.cli import main
@@ -213,7 +215,10 @@ def cases(draw):
 
 
 def _run(command: str, raw: dict) -> tuple[int, str, list, bool]:
-    """Exit code, stderr, warnings and whether the output directory exists after one ``dtqm`` call."""
+    """Exit code, stderr, warnings and whether the output directory exists after one ``dtqm`` call.
+
+    After an exit 0 or 1 the report is parsed strictly (see test_cli.read_report).
+    """
     with tempfile.TemporaryDirectory() as tmp:
         path, out = os.path.join(tmp, "config.json"), os.path.join(tmp, "out")
         with open(path, "w", encoding="utf-8") as fh:
@@ -223,6 +228,8 @@ def _run(command: str, raw: dict) -> tuple[int, str, list, bool]:
             warnings.simplefilter("always")
             code = main([command, "--config", path, "--out", out])
         made_output = os.path.exists(out)
+        if code in (0, 1):
+            read_report(out)
     return code, err.getvalue(), [str(w.message) for w in caught], made_output
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import gauge_equivalence_run, momentum_identity_residual, multi_step_pathsum, norm
+from oracles import gauge_equivalence_run, max_row_sum_defect, momentum_identity_residual, multi_step_pathsum, norm
 
 from dtqm import (
     ActionModel,
@@ -28,7 +28,6 @@ from dtqm import (
     make_grid,
     quadratic_phase,
     quartic_potential,
-    unitarity_defect,
     zero_potential,
 )
 from dtqm.potentials import Potential
@@ -74,8 +73,8 @@ def test_analytic_kernel_at_magic_step():
     assert abs(kernel.amplitude) == pytest.approx(1.0 / math.sqrt(0.125 * 16.0), abs=1e-12)
     assert cmath.phase(kernel.amplitude) == pytest.approx(-math.pi / 4.0, abs=1e-12)
     assert kernel.unitarity_deviation < 1e-8
-    # stored deviation matches recomputation
-    assert kernel.unitarity_deviation == pytest.approx(unitarity_defect(kernel.matrix), abs=1e-15)
+    # the deviation from the Gram rows matches the dense matrix's own
+    assert kernel.unitarity_deviation == pytest.approx(max_row_sum_defect(kernel.matrix), abs=1e-15)
 
 
 def test_kernel_entries_have_constant_magnitude():
@@ -323,6 +322,37 @@ def test_apply_matches_the_dense_matrix_to_coordinate_rounding(n, q, share, pote
     assert float(np.max(np.abs(kernel.apply(v) - kernel.matrix @ v))) <= bound
 
 
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(
+    n=st.integers(4, 300),
+    q=st.integers(1, 7),
+    share=st.sampled_from([1.0, 0.93, 1.7]),
+    potential=st.sampled_from(
+        [zero_potential(), harmonic_potential(1.0, 1.0), quartic_potential(0.3), cosine_well_potential(0.8, 2.0)]
+    ),
+    action=st.sampled_from(["standard", "linear", "quadratic", "quartic", "sine"]),
+    centre=st.floats(-30.0, 30.0),
+    spacing=st.floats(0.02, 0.5),
+    mode=st.sampled_from(["analytic", "calibrated"]),
+)
+def test_unitarity_deviation_matches_the_dense_defect(n, q, share, potential, action, centre, spacing, mode):
+    # The deviation comes from the Gram rows of the phases; the oracle forms
+    # U U^dagger from the matrix. They agree to rounding: the worst of 18,200
+    # scratch draws of this strategy was 10.5 eps max(1, defect).
+    g = make_grid(n, centre - 0.5 * n * spacing, spacing)
+    c = PhysicalConstants(1.0, share * magic_time_step(g, 1.0, HBAR) / q, HBAR)
+    model = {
+        "standard": lambda: StandardAction(c, potential),
+        "linear": lambda: GaugedAction(c, potential, linear_phase(0.7)),
+        "quadratic": lambda: GaugedAction(c, potential, quadratic_phase(0.5)),
+        "quartic": lambda: QuarticAction(c, potential, 0.1),
+        "sine": lambda: SineAction(c, 1.0),
+    }[action]()
+    kernel = build_kernel(g, model, mode if isinstance(model, StandardAction) else "calibrated")
+    defect = max_row_sum_defect(kernel.matrix)
+    assert abs(kernel.unitarity_deviation - defect) <= 16 * np.finfo(float).eps * max(1.0, defect)
+
+
 @pytest.mark.parametrize("n", [64, 1024])
 def test_free_kernel_at_the_magic_step_moves_the_density_half_a_box_in_n_steps(n):
     # For even N, U^N at tau* is a monomial matrix: |U^N v|^2 is |v|^2 rolled by N/2 points.
@@ -379,48 +409,61 @@ def test_analytic_evolve_path_does_no_dense_work(monkeypatch):
     assert worst < 1e-10
 
 
-def test_unitarity_deviation_is_computed_once(monkeypatch):
+def count_dense_work(monkeypatch) -> tuple[list, list]:
+    """Record each _dense_phases result and each N^3 Gram product (unitarity_defect) from now on."""
     import dtqm.propagator
 
-    calls = []
+    dense_phases, gram_rows = dtqm.propagator._dense_phases, dtqm.propagator.unitarity_defect
+    built, grams = [], []
 
-    def counting(matrix):
-        calls.append(1)
-        return unitarity_defect(matrix)
-
-    monkeypatch.setattr(dtqm.propagator, "unitarity_defect", counting)
-    g = grid128()
-    kernel = build_kernel(g, magic_model(g, harmonic_potential(1.0, 1.0)), "analytic")
-    assert not calls
-    first = kernel.unitarity_deviation
-    assert kernel.unitarity_deviation == first == unitarity_defect(kernel.matrix)
-    assert len(calls) == 1
-    # Built on first read bit for bit as a calibrated build assembles it.
-    phases = dtqm.propagator._dense_phases(g, kernel.model)
-    assert np.array_equal(kernel.matrix, g.spacing * kernel.amplitude * phases)
-
-
-def test_a_calibrated_kernel_builds_its_dense_phases_once(monkeypatch):
-    import dtqm.propagator
-
-    dense_phases = dtqm.propagator._dense_phases
-    built = []
-
-    def counting(grid, model):
+    def counting_phases(grid, model):
         built.append(dense_phases(grid, model))
         return built[-1]
 
-    monkeypatch.setattr(dtqm.propagator, "_dense_phases", counting)
+    def counting_grams(phases):
+        grams.append(1)
+        return gram_rows(phases)
+
+    monkeypatch.setattr(dtqm.propagator, "_dense_phases", counting_phases)
+    monkeypatch.setattr(dtqm.propagator, "unitarity_defect", counting_grams)
+    return built, grams
+
+
+def test_unitarity_deviation_is_computed_once(monkeypatch):
+    built, grams = count_dense_work(monkeypatch)
+    g = grid128()
+    model = magic_model(g, harmonic_potential(1.0, 1.0))
+    kernel = build_kernel(g, model, "analytic")
+    assert not built and not grams
+    first = kernel.unitarity_deviation
+    assert kernel.unitarity_deviation == first == pytest.approx(max_row_sum_defect(kernel.matrix), abs=1e-15)
+    assert (len(built), len(grams)) == (1, 1)
+    # Built on first read bit for bit as a calibrated build assembles it.
+    assert np.array_equal(kernel.matrix, g.spacing * kernel.amplitude * built[0][0])
+    # cli's build reads the matrix (for eigvals) before the deviation: still one Gram product.
+    built.clear()
+    grams.clear()
+    c = PhysicalConstants(1.0, 0.93 * magic_time_step(g, 1.0, HBAR), HBAR)
+    off_magic = build_kernel(g, StandardAction(c, harmonic_potential(1.0, 1.0)), "analytic")
+    matrix = off_magic.matrix
+    assert off_magic.unitarity_deviation == pytest.approx(max_row_sum_defect(matrix), rel=1e-14)
+    assert (len(built), len(grams)) == (1, 1)
+
+
+def test_a_calibrated_kernel_builds_its_dense_phases_once(monkeypatch):
+    built, grams = count_dense_work(monkeypatch)
     g = make_grid(32, -4.0, 0.25)
     c = PhysicalConstants(1.0, magic_time_step(g, 1.0, HBAR), HBAR)
     for model in (QuarticAction(c, zero_potential(), 0.1), StandardAction(c, harmonic_potential(1.0, 1.0))):
         built.clear()
+        grams.clear()
         kernel = build_kernel(g, model, "calibrated")
-        assert kernel.unitarity_deviation == unitarity_defect(kernel.matrix)
+        assert kernel.unitarity_deviation == pytest.approx(max_row_sum_defect(kernel.matrix), abs=1e-14)
         kernel.apply(np.ones(g.n_points, dtype=complex))
-        # The matrix scales the phases calibration built; nothing builds them again.
-        assert len(built) == 1
-        assert np.array_equal(kernel.matrix, g.spacing * kernel.amplitude * built[0])
+        # The matrix scales the phases calibration built, and the deviation reads
+        # calibration's Gram rows: nothing is built or multiplied again.
+        assert (len(built), len(grams)) == (1, 1)
+        assert np.array_equal(kernel.matrix, g.spacing * kernel.amplitude * built[0][0])
 
 
 def count_ffts(monkeypatch) -> list:
@@ -482,7 +525,7 @@ def test_magic_step_detection(n, monkeypatch):
     # the kernel is unitary for even and odd N alike (K = diag(c) F diag(c)).
     kernel = build_kernel(g, magic_model(g))
     assert abs(g.spacing * abs(kernel.amplitude) * math.sqrt(n) - 1.0) <= 1e-12
-    assert unitarity_defect(kernel.matrix) < 1e-10
+    assert max_row_sum_defect(kernel.matrix) < 1e-10
 
 
 def test_apply_into_out_is_bit_identical():
