@@ -133,12 +133,13 @@ class GaugedAction(StandardAction):
 
 
 def is_standard_family(model: ActionModel) -> bool:
-    """True for exactly StandardAction and GaugedAction, not their subclasses.
+    """True for exactly StandardAction and GaugedAction, not their subclasses: the one family test.
 
-    Fast paths rely on the family's structure: a phase that factors into
-    diagonal and Toeplitz parts, and the constant d2S/dxdy = -m / tau that
-    makes the equation of motion linear. A subclass may override an
-    evaluator and break both, so it takes the general path.
+    Every fast path relies on the family's structure: a phase that factors
+    into diagonal and Toeplitz parts, and the constant d2S/dxdy = -m / tau
+    that makes the equation of motion linear. A subclass may override an
+    evaluator and break both, so the analytic kernel and the hbar sweep
+    refuse it, and every other path treats it as a general action.
     """
     return type(model) in (StandardAction, GaugedAction)
 
@@ -150,7 +151,7 @@ class QuarticAction(_KineticAction):
     longer constant and the one-step kernel built from it cannot be unitary.
     """
 
-    kind = "quartic_probe"
+    kind = "quartic"
 
     def __init__(self, constants: PhysicalConstants, potential: Potential, epsilon: float):
         super().__init__(constants, potential)
@@ -182,7 +183,7 @@ class SineAction(ActionModel):
     equation of motion run out of reachable next positions.
     """
 
-    kind = "sine_probe"
+    kind = "sine"
 
     def __init__(self, constants: PhysicalConstants, strength: float):
         if not strength > 0:

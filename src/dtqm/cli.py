@@ -73,7 +73,7 @@ def _make_output_directory(path: str) -> None:
         raise OSError(errno.EINVAL, exc.reason, path) from exc
 
 
-def _cmd_check_action(cfg: dict, outdir: str, formats: set[str]) -> tuple[dict, list[str]]:
+def _cmd_check_action(cfg: dict, outdir: str) -> tuple[dict, list[str]]:
     model = build_action(cfg)
     run = cfg["run"]
     report = check_criterion(model, tuple(run["domain"]), run["n_samples"], run["tolerance"])
@@ -84,7 +84,7 @@ def _cmd_check_action(cfg: dict, outdir: str, formats: set[str]) -> tuple[dict, 
     return results, failures
 
 
-def _cmd_evolve(cfg: dict, outdir: str, formats: set[str]) -> tuple[dict, list[str]]:
+def _cmd_evolve(cfg: dict, outdir: str) -> tuple[dict, list[str]]:
     grid = build_grid(cfg)
     model = build_action(cfg)
     run = cfg["run"]
@@ -97,7 +97,7 @@ def _cmd_evolve(cfg: dict, outdir: str, formats: set[str]) -> tuple[dict, list[s
         run["n_steps"],
         amplitude_mode=run["amplitude_mode"],
     )
-    if "csv" in formats:
+    if "csv" in cfg["output"]["formats"]:
         _write_series_csv(os.path.join(outdir, "evolve.csv"), series)
     max_norm_drift = float(np.max(np.abs(series.norm - 1.0)))
     results = {
@@ -123,12 +123,12 @@ def _cmd_evolve(cfg: dict, outdir: str, formats: set[str]) -> tuple[dict, list[s
     return results, failures
 
 
-def _cmd_classical(cfg: dict, outdir: str, formats: set[str]) -> tuple[dict, list[str]]:
+def _cmd_classical(cfg: dict, outdir: str) -> tuple[dict, list[str]]:
     model = build_action(cfg)
     run = cfg["run"]
     x_minus1 = run["x_minus1"] if run["x_minus1"] is not None else invert_momentum(model, run["x0"], run["p0"])
     trajectory = integrate(model, run["x0"], x_minus1, run["n_steps"])
-    if "csv" in formats:
+    if "csv" in cfg["output"]["formats"]:
         columns = [trajectory.times, trajectory.positions, trajectory.momenta, trajectory.residuals]
         _write_csv(os.path.join(outdir, "classical.csv"), ["step", "x", "p", "residual"], columns)
     results = {
@@ -144,7 +144,7 @@ def _cmd_classical(cfg: dict, outdir: str, formats: set[str]) -> tuple[dict, lis
     return results, failures
 
 
-def _cmd_sweep(cfg: dict, outdir: str, formats: set[str]) -> tuple[dict, list[str]]:
+def _cmd_sweep(cfg: dict, outdir: str) -> tuple[dict, list[str]]:
     run = cfg["run"]
     report = hbar_sweep(
         build_action(cfg),
@@ -155,7 +155,7 @@ def _cmd_sweep(cfg: dict, outdir: str, formats: set[str]) -> tuple[dict, list[st
         cfg["grid"]["n_points"],
         alpha=run["alpha"],
     )
-    if "csv" in formats and report.finest is not None:
+    if "csv" in cfg["output"]["formats"] and report.finest is not None:
         _write_series_csv(os.path.join(outdir, "sweep_finest.csv"), report.finest)
     results = {"sweep": report.as_dict(), "mass": cfg["constants"]["mass"], "tau": cfg["constants"]["tau"]}
     failures = [f"hbar={h}: {msg}" for h, msg in sorted(report.errors.items(), reverse=True)]
@@ -164,7 +164,7 @@ def _cmd_sweep(cfg: dict, outdir: str, formats: set[str]) -> tuple[dict, list[st
     return results, failures
 
 
-def _cmd_build(cfg: dict, outdir: str, formats: set[str]) -> tuple[dict, list[str]]:
+def _cmd_build(cfg: dict, outdir: str) -> tuple[dict, list[str]]:
     grid = build_grid(cfg)
     model = build_action(cfg)
     constants = model.constants
@@ -226,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--out", default=None, help="output directory (overrides output.directory)")
-        p.add_argument("--format", choices=("csv", "json"), default=None, help="restrict data outputs to one format")
     return parser
 
 
@@ -237,8 +236,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.command)
         outdir = args.out if args.out is not None else cfg["output"]["directory"]
         _make_output_directory(outdir)
-        formats = {args.format} if args.format else set(cfg["output"]["formats"])
-        results, failures = _HANDLERS[args.command](cfg, outdir, formats)
+        results, failures = _HANDLERS[args.command](cfg, outdir)
         report = {
             "artifact_version": __version__,
             "command": args.command,

@@ -238,21 +238,20 @@ _FIELDS = {
 }
 _POTENTIAL, _PHASE, _FIELD = _Named(_POTENTIALS), _Named(_PHASES), _Named(_FIELDS)
 
-# Action kinds: kind -> (required keys besides 'kind', factory(constants, parts)).
-# ``parts`` is the validated action block with its named sub-blocks built.
+# Action kinds, each named by its class's ``kind``: kind -> (the block's keys
+# besides 'kind', in the order the class takes them after the constants; the class).
 _ACTIONS = {
-    "standard": ({"potential": _POTENTIAL}, lambda c, a: StandardAction(c, a["potential"])),
-    "gauged": ({"potential": _POTENTIAL, "phase": _PHASE}, lambda c, a: GaugedAction(c, a["potential"], a["phase"])),
-    "quartic": (
-        {"potential": _POTENTIAL, "epsilon": _NUMBER},
-        lambda c, a: QuarticAction(c, a["potential"], a["epsilon"]),
-    ),
-    "sine": ({"strength": _POSITIVE}, lambda c, a: SineAction(c, a["strength"])),
-    "vector_potential_2d": (
-        {"potential": _POTENTIAL, "a1": _FIELD, "a2": _FIELD},
-        lambda c, a: VectorPotentialAction2D(c, a["potential"], a["a1"], a["a2"]),
-    ),
+    cls.kind: (required, cls)
+    for required, cls in [
+        ({"potential": _POTENTIAL}, StandardAction),
+        ({"potential": _POTENTIAL, "phase": _PHASE}, GaugedAction),
+        ({"potential": _POTENTIAL, "epsilon": _NUMBER}, QuarticAction),
+        ({"strength": _POSITIVE}, SineAction),
+        ({"potential": _POTENTIAL, "a1": _FIELD, "a2": _FIELD}, VectorPotentialAction2D),
+    ]
 }
+# The kinds is_standard_family admits: what the analytic amplitude and the sweep need.
+_FAMILY = (StandardAction.kind, GaugedAction.kind)
 
 _CONSTANTS = {"mass": _POSITIVE, "hbar": _POSITIVE, "tau": _time_step}
 _OUTPUT = {"directory": (_string, "dtqm-out"), "formats": (_EnumList(("csv", "json")), ("csv", "json"))}
@@ -318,11 +317,11 @@ _RULES = [
     # The step of a tiny or huge lattice can underflow to 0 or overflow.
     (lambda c: c["constants"]["tau"] == "magic" and not 0.0 < _magic_step(c) < math.inf,
      lambda c: f"'constants.tau' = 'magic' resolves to {_magic_step(c)}, not a positive finite time step"),
-    (lambda c: c["command"] != "check-action" and c["action"]["kind"] == "vector_potential_2d",
+    (lambda c: c["command"] != "check-action" and c["action"]["kind"] == VectorPotentialAction2D.kind,
      lambda c: f"command '{c['command']}' drives 1D actions only"),
-    (lambda c: c["command"] == "sweep" and c["action"]["kind"] not in ("standard", "gauged"),
+    (lambda c: c["command"] == "sweep" and c["action"]["kind"] not in _FAMILY,
      lambda c: "command 'sweep' needs a standard or gauged action (its kernels use the analytic amplitude)"),
-    (lambda c: c["run"].get("amplitude_mode") == "analytic" and c["action"]["kind"] not in ("standard", "gauged"),
+    (lambda c: c["run"].get("amplitude_mode") == "analytic" and c["action"]["kind"] not in _FAMILY,
      lambda c: "analytic amplitude mode needs a standard or gauged action; use 'calibrated'"),
     # build reads the dense phases' Gram rows for its unitarity defect (and the
     # matrix for eigvals off the Gauss-sum case); calibration always builds them.
@@ -405,10 +404,10 @@ def build_action(cfg: dict):
     c = cfg["constants"]
     constants = PhysicalConstants(c["mass"], c["tau"], c["hbar"])
     a = cfg["action"]
-    required, make_action = _ACTIONS[a["kind"]]
-    parts = dict(a)
-    for key, check in required.items():
-        if isinstance(check, _Named):
-            _, make_part = check.registry[a[key]["name"]]
-            parts[key] = make_part(a[key], constants.mass)
-    return make_action(constants, parts)
+    required, action_class = _ACTIONS[a["kind"]]
+    # A named sub-block is built by its built-in's factory; a number is passed as it is.
+    parts = [
+        check.registry[a[key]["name"]][1](a[key], constants.mass) if isinstance(check, _Named) else a[key]
+        for key, check in required.items()
+    ]
+    return action_class(constants, *parts)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .action import ActionModel, StandardAction
+from .action import ActionModel, is_standard_family
 from .classical import NUMERICAL_FAILURES, NumericalError, TrajectoryStatus, integrate, invert_momentum
 from .grid import SpatialGrid, make_gaussian, make_grid, packet_observables
 # evolve is kept in this namespace: perfbench's tracer rebinds dtqm.correspondence.evolve.
@@ -47,7 +47,8 @@ class EhrenfestSeries:
     """Per-step observables of an evolving packet, plus the classical track.
 
     ``warnings`` carries the initial packet's quality flags (see make_gaussian),
-    ``kernel`` the summary of the kernel that stepped it (PropagatorKernel.summary).
+    ``kernel`` the summary of the kernel that stepped it (PropagatorKernel.summary)
+    and, for a calibrated kernel, its ``calibration``.
     """
 
     steps: np.ndarray
@@ -131,6 +132,7 @@ def _packet_run(
                 raise NumericalError(f"packet amplitudes are not finite at step {start + int(np.argmin(finite))}")
             pieces.append(observables)
     x_mean, p_mean, x_spread, norms = (np.concatenate(column) for column in zip(*pieces))
+    summary = kernel.summary if kernel.calibration is None else {**kernel.summary, "calibration": kernel.calibration}
     return EhrenfestSeries(
         steps=np.arange(n_record),
         x_mean=x_mean,
@@ -139,7 +141,7 @@ def _packet_run(
         norm=norms,
         x_classical=x_classical,
         p_classical=p_classical,
-        kernel=kernel.summary,
+        kernel=summary,
         warnings=packet_warnings,
     )
 
@@ -212,18 +214,18 @@ def hbar_sweep(
 ) -> CorrespondenceReport:
     """Run Ehrenfest tracking of one model at each hbar against one classical track.
 
-    ``model`` is a StandardAction (or GaugedAction); hbar enters only the
-    kernel's phase, so each run steps a shallow copy of ``model`` whose
-    constants carry that hbar, and ``model`` itself is never changed. The
-    classical trajectory is computed once, from ``model``, and the runs
-    evolve one after another against it. Each run gets its own grid: the
-    spacing is retuned so the model's time step is that grid's
+    ``model`` is a StandardAction or GaugedAction (``is_standard_family``);
+    hbar enters only the kernel's phase, so each run steps a shallow copy of
+    ``model`` whose constants carry that hbar, and ``model`` itself is never
+    changed. The classical trajectory is computed once, from ``model``, and
+    the runs evolve one after another against it. Each run gets its own
+    grid: the spacing is retuned so the model's time step is that grid's
     exact-unitarity step, and the packet width alpha sqrt(hbar / 2) shrinks
     along with hbar. Per-run failures and packet quality flags are recorded
     and the sweep continues.
     """
-    if not isinstance(model, StandardAction):
-        raise ValueError(f"an hbar sweep needs a standard or gauged action, got '{model.kind}'")
+    if not is_standard_family(model):
+        raise ValueError(f"an hbar sweep needs a standard or gauged action, got {type(model).__name__}")
     hbars = [float(h) for h in hbars]
     if len(hbars) < 3:
         raise ValueError(f"a sweep needs at least 3 hbar values, got {len(hbars)}")

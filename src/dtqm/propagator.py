@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .action import ActionModel, GaugedAction, StandardAction, is_standard_family
+from .action import ActionModel, GaugedAction, is_standard_family
 from .classical import NumericalError
 from .grid import SpatialGrid
 
@@ -196,7 +196,7 @@ def _finite(phases: np.ndarray) -> np.ndarray:
     return phases
 
 
-def _kernel_factors(grid: SpatialGrid, model: StandardAction, amplitude: complex):
+def _kernel_factors(grid: SpatialGrid, model: ActionModel, amplitude: complex):
     """((left, right, spectrum, rows), q, q_raw) with U = diag(left) K diag(right), K_jk = kin(j - k).
 
     S(x_j, x_k) = kin(x_j - x_k) + half_j + half_k + phi_j - phi_k, where
@@ -262,12 +262,12 @@ def build_kernel(grid: SpatialGrid, model: ActionModel, amplitude_mode: str = "a
     """Assemble the one-step kernel; its matrix and unitarity deviation are built on first read.
 
     ``analytic`` mode uses the continuum stationary-phase amplitude and is
-    restricted to the standard/gauged family, where that value is exact at
-    the magic time step. ``calibrated`` mode fixes the phase and takes the
-    magnitude that minimizes the deviation inside a +-50% bracket around
-    the analytic value, in closed form; it accepts any action kind, including the
-    inadmissible probes (whose deviation stays large no matter the
-    magnitude), and builds the dense phases and their Gram rows up front.
+    restricted to the standard/gauged family (``is_standard_family``), where
+    that value is exact at the magic time step. ``calibrated`` mode fixes the
+    phase and takes the magnitude that minimizes the deviation inside a +-50%
+    bracket around the analytic value, in closed form; it accepts any action
+    kind, including the inadmissible probes (whose deviation stays large no
+    matter the magnitude), and builds the dense phases and their Gram rows up front.
 
     Standard/gauged kernels store FFT factors and are applied by FFT in
     either mode; every other kernel is applied as its dense matrix. Analytic
@@ -280,8 +280,8 @@ def build_kernel(grid: SpatialGrid, model: ActionModel, amplitude_mode: str = "a
     reference = analytic_amplitude(model)
     dense = calibration = None
     if amplitude_mode == "analytic":
-        if not isinstance(model, StandardAction):
-            raise ValueError(f"analytic amplitude mode requires the standard/gauged family, got '{model.kind}'")
+        if not is_standard_family(model):
+            raise ValueError(f"analytic amplitude mode needs a standard or gauged action, got {type(model).__name__}")
         amplitude = reference
     elif amplitude_mode == "calibrated":
         dense = _dense_phases(grid, model)

@@ -1,4 +1,4 @@
-"""Tests for the action families and their analytic derivatives."""
+"""Tests for the action families, their analytic derivatives, and the one family test every fast path reads."""
 
 import math
 
@@ -14,9 +14,14 @@ from dtqm import (
     StandardAction,
     VectorPotentialAction2D,
     bilinear_field,
+    build_kernel,
     cosine_well_potential,
     harmonic_potential,
+    hbar_sweep,
+    integrate,
+    is_standard_family,
     linear_phase,
+    make_grid,
     quadratic_phase,
     quartic_potential,
     sine_field,
@@ -24,6 +29,7 @@ from dtqm import (
     zero_phase,
     zero_potential,
 )
+from dtqm import config
 from dtqm.potentials import GaugePhase
 
 FD_STEP = 1e-4
@@ -331,3 +337,88 @@ def test_continuum_lagrangian_2d_error_halves_with_tau():
         errors.append(abs(continuum_lagrangian(model, x, v) - lagrangian_limit_2d(model, x, v)))
     assert 0.4 < errors[1] / errors[0] < 0.6
     assert 0.4 < errors[2] / errors[1] < 0.6
+
+
+# --- one family test: is_standard_family decides every fast path
+
+# One block per kind config.build_action can make.
+CONFIG_ACTIONS = {
+    "standard": {"kind": "standard", "potential": {"name": "harmonic"}},
+    "gauged": {"kind": "gauged", "potential": {"name": "cosine_well"}, "phase": {"name": "linear"}},
+    "quartic": {"kind": "quartic", "potential": {"name": "zero"}, "epsilon": 0.1},
+    "sine": {"kind": "sine", "strength": 1.0},
+    "vector_potential_2d": {
+        "kind": "vector_potential_2d",
+        "potential": {"name": "zero"},
+        "a1": {"name": "bilinear"},
+        "a2": {"name": "zero"},
+    },
+}
+
+
+def _config_model(kind):
+    cfg = {"constants": {"mass": 1.0, "tau": 0.1, "hbar": 1.0}, "action": config._validate_action(CONFIG_ACTIONS[kind])}
+    return config.build_action(cfg)
+
+
+def _family_subclass(family):
+    """An instance of a subclass of StandardAction or GaugedAction, with the same physics, named after its base."""
+    subclass = type(f"Custom{family.__name__}", (family,), {})
+    model = _config_model(family.kind)
+    if family is GaugedAction:
+        return subclass(model.constants, model.potential, model.phase)
+    return subclass(model.constants, model.potential)
+
+
+def test_config_actions_cover_every_kind():
+    assert sorted(CONFIG_ACTIONS) == sorted(config._ACTIONS)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [*CONFIG_ACTIONS, StandardAction, GaugedAction],
+    ids=lambda case: f"{case.__name__}_subclass" if isinstance(case, type) else case,
+)
+def test_one_family_test_decides_every_fast_path(case, monkeypatch):
+    import dtqm.classical
+    import dtqm.rootfind
+
+    model = _family_subclass(case) if isinstance(case, type) else _config_model(case)
+    grid = make_grid(32, -4.0, 0.25)
+
+    def accepts(call):
+        try:
+            call()
+        except ValueError:
+            return False
+        return True
+
+    calls = {"track": 0, "newton": 0}
+
+    def counted(key, function):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(dtqm.classical, "_family_track", counted("track", dtqm.classical._family_track))
+    monkeypatch.setattr(dtqm.rootfind, "bracketed_newton", counted("newton", dtqm.rootfind.bracketed_newton))
+    x0 = np.float64(0.5) if model.dimension == 1 else np.array([0.5, 0.2])
+    integrate(model, x0, x0 - 0.01, 5)
+    closed_form = calls["track"] > 0 and calls["newton"] == 0
+    analytic = accepts(lambda: build_kernel(grid, model))
+    sweep = accepts(lambda: hbar_sweep(model, [1.0, 0.5, 0.25], 0.5, 0.0, 3, 128))
+    fft = model.dimension == 1 and build_kernel(grid, model, "calibrated").apply_path != "dense"
+    assert [analytic, sweep, fft, closed_form] == [is_standard_family(model)] * 4
+
+
+@pytest.mark.parametrize("family", [StandardAction, GaugedAction])
+def test_analytic_kernel_and_sweep_refuse_a_family_subclass(family):
+    # A subclass inherits its base's kind, so the refusal names the class.
+    model = _family_subclass(family)
+    assert model.kind == family.kind and not is_standard_family(model)
+    with pytest.raises(ValueError, match=f"got Custom{family.__name__}$"):
+        build_kernel(make_grid(32, -4.0, 0.25), model)
+    with pytest.raises(ValueError, match=f"got Custom{family.__name__}$"):
+        hbar_sweep(model, [1.0, 0.5, 0.25], 0.5, 0.0, 3, 128)

@@ -483,7 +483,7 @@ def test_subclass_takes_the_scan_path_and_the_dense_kernel(monkeypatch):
     assert len(calls) == 20
     grid = make_grid(32, -4.0, 0.25)
     assert build_kernel(grid, StandardAction(c, pot))._factors is not None
-    assert build_kernel(grid, ScanStandard(c, pot))._factors is None
+    assert build_kernel(grid, ScanStandard(c, pot), "calibrated")._factors is None
 
 
 # --- the family loop against the model's own evaluators

@@ -638,15 +638,14 @@ def test_non_finite_number_is_config_error(tmp_path, capsys, literal):
     assert f"non-finite number {literal}" in capsys.readouterr().err
 
 
-def test_format_flag_restricts_data_outputs(tmp_path):
-    out = str(tmp_path / "json_only")
-    cfg = write_config(tmp_path, "evolve.json", harmonic_evolve_config(out))
-    assert main(["evolve", "--config", cfg, "--format", "json"]) == 0
-    assert not os.path.exists(os.path.join(out, "evolve.csv"))
-    assert os.path.exists(os.path.join(out, "report.json"))
-    out2 = str(tmp_path / "csv_only")
-    assert main(["evolve", "--config", cfg, "--out", out2, "--format", "csv"]) == 0
-    assert os.path.exists(os.path.join(out2, "evolve.csv"))
+def test_output_formats_restrict_data_outputs(tmp_path):
+    # output.formats is the one switch: report.json is written whatever it lists.
+    for formats, files in (([], ["report.json"]), (["csv"], ["evolve.csv", "report.json"])):
+        payload = harmonic_evolve_config(str(tmp_path / "-".join(["out", *formats])))
+        payload["output"]["formats"] = formats
+        assert main(["evolve", "--config", write_config(tmp_path, "evolve.json", payload)]) == 0
+        assert sorted(os.listdir(payload["output"]["directory"])) == files
+        assert read_report(payload["output"]["directory"])["config"]["output"]["formats"] == formats
 
 
 def test_boundary_violation_is_numerical_failure(tmp_path, capsys):
@@ -920,14 +919,15 @@ def test_parser_is_built_once_and_serves_every_command(tmp_path, capsys):
     out = str(tmp_path / "evolve")
     assert main(["evolve", "--config", write_config(tmp_path, "evolve.json", harmonic_evolve_config(out))]) == 0
     check = write_config(tmp_path, "check.json", _check_action_config(str(tmp_path / "check")))
-    assert main(["check-action", "--config", check, "--format", "json"]) == 0
+    assert main(["check-action", "--config", check]) == 0
     assert read_report(out)["command"] == "evolve"
     assert read_report(str(tmp_path / "check"))["command"] == "check-action"
     capsys.readouterr()
+    # An unknown flag is a usage error: argparse exits 2.
     with pytest.raises(SystemExit) as info:
-        main(["evolve", "--config", check, "--format", "xml"])
+        main(["evolve", "--config", check, "--format", "json"])
     assert info.value.code == 2
-    assert "invalid choice: 'xml'" in capsys.readouterr().err
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
 
 def test_evolve_runs_past_the_dense_limit_and_build_does_not(tmp_path, capsys):
@@ -1033,7 +1033,8 @@ def test_build_of_a_family_subclass_calls_eigvals(tmp_path, monkeypatch):
     monkeypatch.setattr(dtqm.cli, "build_action", build_subclass)
     calls = _count_eigvals(monkeypatch)
     out = str(tmp_path / "out")
-    cfg = write_config(tmp_path, "build.json", _build32_config(out, HARMONIC))
+    # The analytic amplitude refuses a subclass; a calibrated build takes the dense kernel.
+    cfg = write_config(tmp_path, "build.json", _build32_config(out, HARMONIC, 1.0, "calibrated"))
     assert main(["build", "--config", cfg]) == 0
     assert calls == [(32, 32)]
     assert read_report(out)["results"]["kernel"] == _block("dense", None, "eigvals")
@@ -1055,6 +1056,37 @@ def test_evolve_reports_its_kernel(tmp_path, tau_share, kernel):
         del payload["run"]["tracking_tolerance"], payload["run"]["norm_tolerance"]
     assert main(["evolve", "--config", write_config(tmp_path, "evolve.json", payload)]) == 0
     assert read_report(out)["results"]["kernel"] == kernel
+
+
+def test_calibrated_evolve_reports_its_calibration(tmp_path):
+    from dtqm import magic_time_step, make_grid
+
+    # tau*/5 on 127 points: |A| = 1/(w sqrt(N)) is 1/sqrt(5) of the analytic
+    # value, outside the +-50% bracket, so calibration stops on its edge.
+    grid = {"n_points": 127, "x_min": -8.0, "spacing": 16.0 / 127}
+    tau = magic_time_step(make_grid(**grid), 1.0, 1.0) / 5.0
+    action = {"kind": "standard", "potential": {"name": "harmonic", "omega": 0.3}}
+    blocks = {}
+    for command, run in (
+        ("evolve", {"x0": 0.0, "p0": 0.0, "n_steps": 20, "amplitude_mode": "calibrated"}),
+        ("build", {"amplitude_mode": "calibrated"}),
+    ):
+        out = str(tmp_path / command)
+        payload = {
+            "grid": grid,
+            "constants": {"mass": 1.0, "hbar": 1.0, "tau": tau},
+            "action": action,
+            "run": run,
+            "output": {"directory": out},
+        }
+        assert main([command, "--config", write_config(tmp_path, f"{command}.json", payload)]) == 0
+        blocks[command] = read_report(out)["results"]
+    kernel = blocks["evolve"]["kernel"]
+    assert (kernel["apply"], kernel["q"], kernel["gcd_q_n"]) == ("chirped_dft", 5, 1)
+    assert kernel["calibration"] == blocks["build"]["calibration"]
+    assert kernel["calibration"]["at_bracket_edge"] is True
+    # Off the bracket edge |A| would make the step unitary; on it every step grows the norm.
+    assert blocks["evolve"]["final_norm"] > 2.0
 
 
 @pytest.mark.parametrize("n_points", [32, 39])  # the magic step snaps by 0 and by -3 ulps
@@ -1088,7 +1120,7 @@ def test_build_reports_the_snap_of_the_magic_step(tmp_path, monkeypatch, n_point
 def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
     import dtqm.cli
 
-    def broken(cfg, outdir, formats):
+    def broken(cfg, outdir):
         raise TypeError("unsupported operand")
 
     monkeypatch.setitem(dtqm.cli._HANDLERS, "check-action", broken)

@@ -88,3 +88,29 @@ def test_every_name_the_benchmark_tracer_wraps_resolves():
     # The tracer routes eigvals through dtqm.cli.np, and its restore test reads dtqm.correspondence.evolve.
     assert importlib.import_module("dtqm.cli").np is numpy
     assert callable(importlib.import_module("dtqm.correspondence").evolve)
+
+
+def test_action_module_alone_names_the_family_and_every_kind():
+    # is_standard_family is the one family test, and each class's ``kind`` the one name of its kind.
+    for name in os.listdir(SRC):
+        if not name.endswith(".py") or name == "action.py":
+            continue
+        for node in ast.walk(_tree(os.path.join(SRC, name))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+                classes = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node.args[1])}
+                assert "StandardAction" not in classes, f"{name}:{node.lineno} tests family membership by isinstance"
+            if isinstance(node, ast.Constant):
+                assert node.value not in ("standard", "gauged"), f"{name}:{node.lineno} spells a kind: {node.value!r}"
+
+
+def test_every_config_action_kind_is_the_kind_of_the_class_it_builds():
+    from dtqm import config
+
+    constants = {"mass": 1.0, "tau": 0.1, "hbar": 1.0}
+    for kind, (required, _) in config._ACTIONS.items():
+        # Every named registry has a 'zero' built-in; every other key takes a positive number.
+        block = {"kind": kind} | {
+            key: {"name": "zero"} if isinstance(check, config._Named) else 1.0 for key, check in required.items()
+        }
+        model = config.build_action({"constants": constants, "action": config._validate_action(block)})
+        assert type(model).kind == kind

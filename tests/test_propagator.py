@@ -22,6 +22,7 @@ from dtqm import (
     cosine_well_potential,
     evolve,
     harmonic_potential,
+    is_standard_family,
     linear_phase,
     magic_time_step,
     make_gaussian,
@@ -348,7 +349,7 @@ def test_unitarity_deviation_matches_the_dense_defect(n, q, share, potential, ac
         "quartic": lambda: QuarticAction(c, potential, 0.1),
         "sine": lambda: SineAction(c, 1.0),
     }[action]()
-    kernel = build_kernel(g, model, mode if isinstance(model, StandardAction) else "calibrated")
+    kernel = build_kernel(g, model, mode if is_standard_family(model) else "calibrated")
     defect = max_row_sum_defect(kernel.matrix)
     assert abs(kernel.unitarity_deviation - defect) <= 16 * np.finfo(float).eps * max(1.0, defect)
 
@@ -704,7 +705,7 @@ def test_gauss_sum_magnitude_is_none_where_the_spectrum_is_not_known():
         (kernel(1.0 / 16.0), "chirped_dft", 16),  # every row is the first
         (kernel(1.0, lambda c: QuarticAction(c, zero_potential(), 0.1), "calibrated"), "dense", None),
         (kernel(1.0, lambda c: SineAction(c, 1.0), "calibrated"), "dense", None),
-        (kernel(1.0, Subclass), "dense", None),
+        (kernel(1.0, Subclass, "calibrated"), "dense", None),
     ]
     for k, path, q in cases:
         assert (k.apply_path, k.q, k.gauss_sum_magnitude) == (path, q, None)
