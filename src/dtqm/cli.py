@@ -188,7 +188,12 @@ def _cmd_build(cfg: dict, outdir: str) -> tuple[dict, list[str]]:
         "unitarity_deviation": kernel.unitarity_deviation,
         "eig_magnitude_min": eig_min,
         "eig_magnitude_max": eig_max,
-        "kernel": {**kernel.summary, "eig_source": "eigvals" if magnitude is None else "gauss_sum"},
+        "kernel": {
+            **kernel.summary,
+            "eig_source": "eigvals" if magnitude is None else "gauss_sum",
+            "defect_source": kernel.defect_source,
+            "offdiag_row_sum": kernel.offdiag_row_sum,
+        },
     }
     if kernel.calibration is not None:
         results["calibration"] = kernel.calibration

@@ -323,9 +323,11 @@ _RULES = [
      lambda c: "command 'sweep' needs a standard or gauged action (its kernels use the analytic amplitude)"),
     (lambda c: c["run"].get("amplitude_mode") == "analytic" and c["action"]["kind"] not in _FAMILY,
      lambda c: "analytic amplitude mode needs a standard or gauged action; use 'calibrated'"),
-    # build reads the dense phases' Gram rows for its unitarity defect (and the
-    # matrix for eigvals off the Gauss-sum case); calibration always builds them.
-    (lambda c: (c["command"] == "build" or c["run"].get("amplitude_mode") == "calibrated")
+    # build reads the dense matrix for eigvals off the Gauss-sum case, and a
+    # probe's calibration builds its phases and their Gram product. A family
+    # kernel calibrates from its closed-form Gram rows, at any size.
+    (lambda c: (c["command"] == "build"
+                or c["run"].get("amplitude_mode") == "calibrated" and c["action"]["kind"] not in _FAMILY)
      and c["grid"]["n_points"] > MAX_POINTS_1D,
      lambda c: f"dense 1D kernels are limited to {MAX_POINTS_1D} points, got {c['grid']['n_points']}"),
 ]

@@ -945,12 +945,21 @@ def test_evolve_runs_past_the_dense_limit_and_build_does_not(tmp_path, capsys):
     assert main(["build", "--config", write_config(tmp_path, "build.json", payload)]) == 2
     assert capsys.readouterr().err == "config error: dense 1D kernels are limited to 1024 points, got 2048\n"
     assert not (tmp_path / "build").exists()
+    # A family kernel calibrates from its closed-form Gram rows: no dense work, no limit.
     payload = harmonic_evolve_config(str(tmp_path / "calibrated"))
     payload["grid"] = {"n_points": 2048, "x_min": -8.0, "spacing": 16.0 / 2048}
     payload["run"]["amplitude_mode"] = "calibrated"
-    assert main(["evolve", "--config", write_config(tmp_path, "calibrated.json", payload)]) == 2
+    assert main(["evolve", "--config", write_config(tmp_path, "calibrated.json", payload)]) == 0
+    results = read_report(str(tmp_path / "calibrated"))["results"]
+    assert results["kernel"]["calibration"] == {"offdiag_row_sum": 0.0, "at_bracket_edge": False}
+    assert results["max_norm_drift"] < 1e-12
+    # A probe's calibration builds its dense phases and their Gram product.
+    payload["action"] = {"kind": "quartic", "potential": {"name": "zero"}, "epsilon": 0.1}
+    payload["output"]["directory"] = str(tmp_path / "probe")
+    del payload["run"]["tracking_tolerance"], payload["run"]["norm_tolerance"]
+    assert main(["evolve", "--config", write_config(tmp_path, "probe.json", payload)]) == 2
     assert capsys.readouterr().err == "config error: dense 1D kernels are limited to 1024 points, got 2048\n"
-    assert not (tmp_path / "calibrated").exists()
+    assert not (tmp_path / "probe").exists()
 
 
 def test_cli_import_does_not_load_scipy():
@@ -990,7 +999,12 @@ def _block(apply, q, source):
         "gcd_q_n": math.gcd(q, 32) if magic else None,
         "q_offset": 0.0 if magic else None,
         "eig_source": source,
+        "defect_source": "gram" if apply == "dense" else "closed_form",
     }
+
+
+def _without_row_sum(kernel: dict) -> dict:
+    return {key: value for key, value in kernel.items() if key != "offdiag_row_sum"}
 
 
 @pytest.mark.parametrize(
@@ -1011,7 +1025,7 @@ def test_build_calls_eigvals_only_off_the_gauss_sum(tmp_path, monkeypatch, actio
     cfg = write_config(tmp_path, "build.json", _build32_config(out, action, tau_share, mode))
     assert main(["build", "--config", cfg]) == 0
     results = read_report(out)["results"]
-    assert results["kernel"] == kernel
+    assert _without_row_sum(results["kernel"]) == kernel
     assert calls == ([] if kernel["eig_source"] == "gauss_sum" else [(32, 32)])
     if not calls:
         expected = 0.25 * results["amplitude_magnitude"] * math.sqrt(32)
@@ -1037,7 +1051,65 @@ def test_build_of_a_family_subclass_calls_eigvals(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, "build.json", _build32_config(out, HARMONIC, 1.0, "calibrated"))
     assert main(["build", "--config", cfg]) == 0
     assert calls == [(32, 32)]
-    assert read_report(out)["results"]["kernel"] == _block("dense", None, "eigvals")
+    assert _without_row_sum(read_report(out)["results"]["kernel"]) == _block("dense", None, "eigvals")
+
+
+@pytest.mark.parametrize("action", [HARMONIC, GAUGED])
+def test_a_magic_step_family_build_does_no_dense_work(tmp_path, monkeypatch, action):
+    import dtqm.propagator
+
+    dense = []
+    for name in ("_dense_phases", "unitarity_defect"):
+        monkeypatch.setattr(dtqm.propagator, name, lambda *args, name=name: dense.append(name))
+    calls = _count_eigvals(monkeypatch)
+    out = str(tmp_path / "out")
+    payload = {
+        "grid": {"n_points": 128, "x_min": -8.0, "spacing": 0.125},
+        "constants": {"mass": 1.0, "hbar": 1.0, "tau": "magic"},
+        "action": action,
+        "run": {"max_unitarity_deviation": 1e-12},
+        "output": {"directory": out},
+    }
+    assert main(["build", "--config", write_config(tmp_path, "build.json", payload)]) == 0
+    kernel = read_report(out)["results"]["kernel"]
+    sources = kernel["eig_source"], kernel["defect_source"], kernel["offdiag_row_sum"]
+    assert sources == ("gauss_sum", "closed_form", 0.0)
+    assert (dense, calls) == ([], [])
+
+
+@pytest.mark.parametrize(
+    "action, tau_share, mode, source",
+    [
+        (HARMONIC, 1.0, "analytic", "closed_form"),
+        (HARMONIC, 0.5, "analytic", "closed_form"),
+        (GAUGED, 0.93, "calibrated", "closed_form"),
+        (QUARTIC_PROBE, 1.0, "calibrated", "gram"),
+        (SINE_PROBE, 0.93, "calibrated", "gram"),
+    ],
+)
+def test_every_build_report_holds_the_terms_of_its_defect(tmp_path, action, tau_share, mode, source):
+    # The deviation is |s N - 1| + s r, with s = (w |A|)^2 and r the kernel
+    # block's offdiag_row_sum: exactly so for the closed form, and to the
+    # rounding of the Gram diagonal, which is N only in exact arithmetic,
+    # for a dense kernel.
+    out = str(tmp_path / "out")
+    cfg = write_config(tmp_path, "build.json", _build32_config(out, action, tau_share, mode))
+    assert main(["build", "--config", cfg]) == 0
+    results = read_report(out)["results"]
+    kernel = results["kernel"]
+    assert kernel["defect_source"] == source
+    weight = results["spacing"] * results["amplitude_magnitude"]
+    s = weight * weight
+    explained = abs(s * results["n_points"] - 1.0) + s * kernel["offdiag_row_sum"]
+    deviation = results["unitarity_deviation"]
+    if source == "closed_form":
+        assert deviation == explained
+    else:
+        assert abs(deviation - explained) <= 4 * np.finfo(float).eps * max(1.0, deviation)
+    if mode == "calibrated":
+        assert results["calibration"]["offdiag_row_sum"] == kernel["offdiag_row_sum"]
+    if tau_share == 0.5:  # gcd(2, 32) = 2: offset 16 repeats a row, so r = N
+        assert kernel["offdiag_row_sum"] == 32.0
 
 
 @pytest.mark.parametrize(
@@ -1111,9 +1183,19 @@ def test_build_reports_the_snap_of_the_magic_step(tmp_path, monkeypatch, n_point
     magic, near = kernels
     assert (magic["apply"], magic["q"], magic["eig_source"]) == ("chirped_dft", 1, "gauss_sum")
     assert abs(magic["q_offset"]) <= 4.5e-16
+    # At the snapped step the Gauss sums cancel every off-diagonal term exactly.
+    assert (magic["defect_source"], magic["offdiag_row_sum"]) == ("closed_form", 0.0)
     # 1e-13 off the magic step is past the rounding-level snap: the kernel is
     # the one S gives at that step, and its spectrum comes from eigvals.
-    assert near == {"apply": "embedding_2n", "q": None, "gcd_q_n": None, "q_offset": None, "eig_source": "eigvals"}
+    assert 0.0 < near.pop("offdiag_row_sum") < 1e-9
+    assert near == {
+        "apply": "embedding_2n",
+        "q": None,
+        "gcd_q_n": None,
+        "q_offset": None,
+        "eig_source": "eigvals",
+        "defect_source": "closed_form",
+    }
     assert calls == [(n_points, n_points)]
 
 

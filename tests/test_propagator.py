@@ -31,7 +31,8 @@ from dtqm import (
     quartic_potential,
     zero_potential,
 )
-from dtqm.potentials import Potential
+from dtqm.potentials import Potential, zero_phase
+from dtqm.propagator import _dense_phases, unitarity_defect
 
 HBAR = 1.0
 
@@ -74,8 +75,10 @@ def test_analytic_kernel_at_magic_step():
     assert abs(kernel.amplitude) == pytest.approx(1.0 / math.sqrt(0.125 * 16.0), abs=1e-12)
     assert cmath.phase(kernel.amplitude) == pytest.approx(-math.pi / 4.0, abs=1e-12)
     assert kernel.unitarity_deviation < 1e-8
-    # the deviation from the Gram rows matches the dense matrix's own
-    assert kernel.unitarity_deviation == pytest.approx(max_row_sum_defect(kernel.matrix), abs=1e-15)
+    # The closed-form Gram rows are exact at the magic step, so only |s N - 1|
+    # rounds; the dense matrix's own defect carries the rounding of its phases.
+    assert kernel.unitarity_deviation <= 4 * np.finfo(float).eps
+    assert max_row_sum_defect(kernel.matrix) < 1e-12
 
 
 def test_kernel_entries_have_constant_magnitude():
@@ -337,9 +340,10 @@ def test_apply_matches_the_dense_matrix_to_coordinate_rounding(n, q, share, pote
     mode=st.sampled_from(["analytic", "calibrated"]),
 )
 def test_unitarity_deviation_matches_the_dense_defect(n, q, share, potential, action, centre, spacing, mode):
-    # The deviation comes from the Gram rows of the phases; the oracle forms
-    # U U^dagger from the matrix. They agree to rounding: the worst of 18,200
-    # scratch draws of this strategy was 10.5 eps max(1, defect).
+    # The Gram-row defect: a probe's deviation, and unitarity_defect on a family
+    # kernel's phases (whose own deviation is the closed form, pinned below).
+    # The oracle forms U U^dagger from the matrix. They agree to rounding: the
+    # worst of 18,200 scratch draws of this strategy was 10.5 eps max(1, defect).
     g = make_grid(n, centre - 0.5 * n * spacing, spacing)
     c = PhysicalConstants(1.0, share * magic_time_step(g, 1.0, HBAR) / q, HBAR)
     model = {
@@ -351,7 +355,70 @@ def test_unitarity_deviation_matches_the_dense_defect(n, q, share, potential, ac
     }[action]()
     kernel = build_kernel(g, model, mode if is_standard_family(model) else "calibrated")
     defect = max_row_sum_defect(kernel.matrix)
-    assert abs(kernel.unitarity_deviation - defect) <= 16 * np.finfo(float).eps * max(1.0, defect)
+    assert abs(gram_row_defect(kernel) - defect) <= 16 * np.finfo(float).eps * max(1.0, defect)
+
+
+def gram_row_defect(kernel) -> float:
+    """max_j |s d_j - 1| + s off_j over the row sums of the dense phases' Gram product."""
+    if kernel.defect_source == "gram":
+        return kernel.unitarity_deviation
+    weight = kernel.grid.spacing * abs(kernel.amplitude)
+    diagonal, offdiag = unitarity_defect(_dense_phases(kernel.grid, kernel.model))
+    return float(np.max(np.abs(weight * weight * diagonal - 1.0) + weight * weight * offdiag))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(
+    n=st.integers(4, 300),
+    q=st.integers(1, 7),
+    share=st.sampled_from([1.0, 1.0 + 1e-13, 1.0 - 1e-13, 0.93, 1.7]),
+    potential=st.sampled_from(
+        [zero_potential(), harmonic_potential(1.0, 1.0), quartic_potential(0.3), cosine_well_potential(0.8, 2.0)]
+    ),
+    phase=st.sampled_from([None, zero_phase(), linear_phase(0.7), quadratic_phase(0.5)]),
+    centre=st.floats(-30.0, 30.0),
+    spacing=st.floats(0.02, 0.5),
+    mode=st.sampled_from(["analytic", "calibrated"]),
+)
+def test_the_closed_form_defect_matches_both_dense_oracles(n, q, share, potential, phase, centre, spacing, mode):
+    # A family kernel's defect comes from the Gauss-sum Gram rows, with no
+    # dense work; the oracles build the phases from S itself. The dense side
+    # carries the rounding: each phase about eps Phi, with Phi from max|S| and
+    # the kinetic difference of coordinates of size |x| (see the apply test
+    # above), so each Gram entry up to N eps (Phi + 1), and a row sum N of
+    # them. The worst of 3,000 scratch draws of this strategy, with shares
+    # also uniform in [0.5, 2], was 0.073 of that bound.
+    g = make_grid(n, centre - 0.5 * n * spacing, spacing)
+    c = PhysicalConstants(1.0, share * magic_time_step(g, 1.0, HBAR) / q, HBAR)
+    model = StandardAction(c, potential) if phase is None else GaugedAction(c, potential, phase)
+    kernel = build_kernel(g, model, mode)
+    assert kernel.defect_source == "closed_form"
+    x = g.points
+    s_max = float(np.max(np.abs(model.s(x[:, None], x[None, :]))))
+    coordinates = c.mass / c.time_step * float(np.max(np.abs(x))) * g.extent
+    weight = spacing * abs(kernel.amplitude)
+    bound = np.finfo(float).eps * weight * weight * n * n * ((s_max + coordinates) / HBAR + 1.0)
+    assert abs(kernel.unitarity_deviation - gram_row_defect(kernel)) <= bound
+    assert abs(kernel.unitarity_deviation - max_row_sum_defect(kernel.matrix)) <= bound
+
+
+@pytest.mark.parametrize("n, q, r", [(255, 3, 510.0), (256, 2, 256.0), (256, 4, 768.0), (255, 1, 0.0)])
+def test_closed_form_row_sums_where_the_gauss_sum_repeats_rows(n, q, r):
+    # At tau* / q the offsets d with q d = 0 mod N have |(P P^dagger)_jk| = N,
+    # and every other offset 0. The float ratio |sin(N a d) / sin(a d)|, taken
+    # as N where it is 0/0, gives r = 474 at N=255, tau*/3, and 509.76 at
+    # 1e-13 past it.
+    g = make_grid(n, -8.0, 16.0 / n)
+    tau = magic_time_step(g, 1.0, HBAR) / q
+    for factor in (1.0, 1.0 + 1e-13):
+        kernel = build_kernel(g, StandardAction(PhysicalConstants(1.0, factor * tau, HBAR), zero_potential()))
+        if factor == 1.0:
+            assert (kernel.q, kernel.offdiag_row_sum) == (q, r)
+        else:
+            # Past the snap the offsets near q d = 0 mod N still give about N
+            # each, and the others near 0.
+            assert kernel.q is None
+            assert kernel.offdiag_row_sum == pytest.approx(r, rel=1e-9, abs=1e-6)
 
 
 @pytest.mark.parametrize("n", [64, 1024])
@@ -431,40 +498,52 @@ def count_dense_work(monkeypatch) -> tuple[list, list]:
 
 
 def test_unitarity_deviation_is_computed_once(monkeypatch):
+    import dtqm.propagator
+
     built, grams = count_dense_work(monkeypatch)
+    closed_forms = []
+    row_sum = dtqm.propagator._offdiag_row_sum
+    monkeypatch.setattr(dtqm.propagator, "_offdiag_row_sum", lambda *args: closed_forms.append(1) or row_sum(*args))
     g = grid128()
-    model = magic_model(g, harmonic_potential(1.0, 1.0))
-    kernel = build_kernel(g, model, "analytic")
-    assert not built and not grams
-    first = kernel.unitarity_deviation
-    assert kernel.unitarity_deviation == first == pytest.approx(max_row_sum_defect(kernel.matrix), abs=1e-15)
-    assert (len(built), len(grams)) == (1, 1)
-    # Built on first read bit for bit as a calibrated build assembles it.
-    assert np.array_equal(kernel.matrix, g.spacing * kernel.amplitude * built[0][0])
-    # cli's build reads the matrix (for eigvals) before the deviation: still one Gram product.
-    built.clear()
-    grams.clear()
-    c = PhysicalConstants(1.0, 0.93 * magic_time_step(g, 1.0, HBAR), HBAR)
-    off_magic = build_kernel(g, StandardAction(c, harmonic_potential(1.0, 1.0)), "analytic")
-    matrix = off_magic.matrix
-    assert off_magic.unitarity_deviation == pytest.approx(max_row_sum_defect(matrix), rel=1e-14)
-    assert (len(built), len(grams)) == (1, 1)
+    tau = magic_time_step(g, 1.0, HBAR)
+    for share in (1.0, 0.93):
+        for mode in ("analytic", "calibrated"):
+            closed_forms.clear()
+            c = PhysicalConstants(1.0, share * tau, HBAR)
+            kernel = build_kernel(g, StandardAction(c, harmonic_potential(1.0, 1.0)), mode)
+            first = kernel.unitarity_deviation
+            assert kernel.unitarity_deviation == first
+            # A family kernel's deviation is the closed form: one O(N) row sum, no dense work.
+            assert (kernel.defect_source, len(closed_forms), built, grams) == ("closed_form", 1, [], [])
+            # cli's build reads the matrix for eigvals: the phases, once, and no Gram product.
+            matrix = kernel.matrix
+            assert kernel.matrix is matrix
+            assert (len(built), grams) == (1, [])
+            assert np.array_equal(matrix, g.spacing * kernel.amplitude * built.pop())
+            assert len(closed_forms) == 1
 
 
 def test_a_calibrated_kernel_builds_its_dense_phases_once(monkeypatch):
     built, grams = count_dense_work(monkeypatch)
     g = make_grid(32, -4.0, 0.25)
     c = PhysicalConstants(1.0, magic_time_step(g, 1.0, HBAR), HBAR)
-    for model in (QuarticAction(c, zero_potential(), 0.1), StandardAction(c, harmonic_potential(1.0, 1.0))):
+    for model in (QuarticAction(c, zero_potential(), 0.1), SineAction(c, 1.0)):
         built.clear()
         grams.clear()
         kernel = build_kernel(g, model, "calibrated")
         assert kernel.unitarity_deviation == pytest.approx(max_row_sum_defect(kernel.matrix), abs=1e-14)
         kernel.apply(np.ones(g.n_points, dtype=complex))
-        # The matrix scales the phases calibration built, and the deviation reads
-        # calibration's Gram rows: nothing is built or multiplied again.
-        assert (len(built), len(grams)) == (1, 1)
-        assert np.array_equal(kernel.matrix, g.spacing * kernel.amplitude * built[0][0])
+        # A probe's matrix scales the phases calibration built, and its deviation
+        # reads calibration's Gram rows: nothing is built or multiplied again.
+        assert (len(built), len(grams), kernel.defect_source) == (1, 1, "gram")
+        assert np.array_equal(kernel.matrix, g.spacing * kernel.amplitude * built[0])
+    # A family kernel calibrates from its closed-form Gram rows.
+    built.clear()
+    grams.clear()
+    kernel = build_kernel(g, StandardAction(c, harmonic_potential(1.0, 1.0)), "calibrated")
+    assert kernel.unitarity_deviation < 1e-13
+    kernel.apply(np.ones(g.n_points, dtype=complex))
+    assert (built, grams) == ([], [])
 
 
 def count_ffts(monkeypatch) -> list:
@@ -584,15 +663,20 @@ def test_dense_size_limit_applies_to_the_matrix_only():
     n = 2 * MAX_POINTS_1D
     g = make_grid(n, -8.0, 16.0 / n)
     model = magic_model(g, harmonic_potential(1.0, 1.0))
-    kernel = build_kernel(g, model)
-    psi, _ = make_gaussian(g, 0.5, 0.3, 1.0, HBAR)
-    for _ in range(10):
-        psi = evolve(kernel, psi)
-    assert abs(norm(g, psi) - 1.0) < 1e-12
-    with pytest.raises(ValueError, match=f"dense 1D kernels are limited to {MAX_POINTS_1D} points, got {n}"):
-        kernel.matrix
+    for mode in ("analytic", "calibrated"):
+        kernel = build_kernel(g, model, mode)
+        psi, _ = make_gaussian(g, 0.5, 0.3, 1.0, HBAR)
+        for _ in range(10):
+            psi = evolve(kernel, psi)
+        assert abs(norm(g, psi) - 1.0) < 1e-12
+        # A family kernel's calibration and defect come from the closed-form Gram rows.
+        assert abs(g.spacing * abs(kernel.amplitude) * math.sqrt(n) - 1.0) <= 4 * np.finfo(float).eps
+        assert kernel.unitarity_deviation <= 4 * np.finfo(float).eps
+        with pytest.raises(ValueError, match=f"dense 1D kernels are limited to {MAX_POINTS_1D} points, got {n}"):
+            kernel.matrix
+    probe = QuarticAction(model.constants, zero_potential(), 0.1)
     with pytest.raises(ValueError, match="dense 1D kernels are limited"):
-        build_kernel(g, model, "calibrated")
+        build_kernel(g, probe, "calibrated")
 
 
 def builtin_family_models(constants):
