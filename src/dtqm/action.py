@@ -216,7 +216,8 @@ class VectorPotentialAction2D(_KineticAction):
     a_a with respect to its own slot.
 
     Positions are arrays with trailing axis of length 2; built-in potentials
-    act separably, V(x1) + V(x2).
+    act separably, V(x1) + V(x2). Only the criterion reads this action: the
+    classical solver and the kernels are one-dimensional.
     """
 
     kind = "vector_potential_2d"

@@ -1,15 +1,16 @@
-"""Discrete classical dynamics: momentum maps, one-step solver, trajectories.
+"""Discrete classical dynamics of 1D actions: momentum maps, one-step solver, trajectories.
 
 The discrete equation of motion balances the gradients of two adjacent
 one-step actions,
 
     dS(x_now, x_prev)/dx_now + dS(x_next, x_now)/dx_now = 0,
 
-and is solved for x_next. For the admissible 1D family this is linear in
+and is solved for x_next. For the admissible family this is linear in
 x_next (Stormer-Verlet), so ``invert_momentum`` and ``integrate`` solve it in
 closed form, the latter in one scalar loop with one dV call per step. For
 inadmissible probes a root may not exist inside any finite search region,
-which is exactly the failure mode the probes are built to exhibit.
+which is exactly the failure mode the probes are built to exhibit. A 2D
+action enters only through the criterion; the solver refuses it.
 """
 
 import math
@@ -19,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .action import ActionModel, is_standard_family
-from .rootfind import newton_solve, scan_roots
+from .rootfind import scan_roots
 
 __all__ = [
     "TrajectoryStatus",
@@ -36,7 +37,6 @@ __all__ = [
 # magnitude per unit length) and the coordinate scale.
 GRADIENT_TOL = 1e-10
 SCAN_SUBINTERVALS = 64
-MAX_NEWTON_2D = 60
 
 
 class NumericalError(RuntimeError):
@@ -58,7 +58,7 @@ class TrajectoryStatus(Enum):
 class EomResult:
     """Outcome of one discrete equation-of-motion step."""
 
-    x_next: float | np.ndarray | None
+    x_next: float | None
     status: TrajectoryStatus
     residual: float
 
@@ -84,6 +84,11 @@ class ClassicalTrajectory:
         if self.status is TrajectoryStatus.COMPLETE:
             return "complete"
         return f"{self.status.value}_at({self.failure_step})"
+
+
+def _require_1d(model: ActionModel) -> None:
+    if model.dimension != 1:
+        raise ValueError(f"the classical solver is one-dimensional, got a {model.dimension}D action")
 
 
 def _gradient_tolerance(model: ActionModel, scale: float) -> float:
@@ -138,7 +143,23 @@ def _nearest_root(g, dg, centre, radius, prediction, gtol, merge_tol):
     return roots[i], residuals[i], len(roots)
 
 
-def _eom_step_1d(model, x_prev, x_now):
+def eom_step(model: ActionModel, x_prev, x_now) -> EomResult:
+    """Solve the discrete equation of motion for the next position.
+
+    For the exact standard/gauged family the equation is linear in x_next,
+    and its one root is taken in closed form wherever it lies. Every other
+    1D action is solved by a bracketing scan of 64 equal subintervals over
+    [x_now - R, x_now + R], each sign change refined by safeguarded Newton.
+    R is 10 |x_now - x_prev| + 10 sqrt(hbar tau / m), which keeps the
+    no-solution verdict for bounded-gradient probes honest: "no root inside
+    the documented search region".
+
+    When several roots fall inside the region, the one closest to the
+    free-motion prediction 2 x_now - x_prev is returned with the non-unique
+    flag. A 2D action raises ValueError.
+    """
+    _require_1d(model)
+    x_prev, x_now = np.float64(x_prev), np.float64(x_now)
     if is_standard_family(model):
         xi = _family_track(model, x_prev, x_now, 1)[-1]
         # An overflowing residual is not reported as a warning.
@@ -165,49 +186,6 @@ def _eom_step_1d(model, x_prev, x_now):
     return EomResult(xi, TrajectoryStatus.NON_UNIQUE if count > 1 else TrajectoryStatus.COMPLETE, residual)
 
 
-def _eom_step_2d(model, x_prev, x_now):
-    x_prev = np.asarray(x_prev, dtype=float)
-    x_now = np.asarray(x_now, dtype=float)
-    incoming = np.asarray(model.ds_dx(x_now, x_prev), dtype=float)
-
-    def g(xi):
-        return incoming + np.asarray(model.ds_dy(xi, x_now), dtype=float)
-
-    def jacobian(xi):
-        # dg_a/dxi_b is the transposed mixed block of the action at (xi, x_now).
-        return np.asarray(model.d2s_dxdy(xi, x_now), dtype=float).T
-
-    scale = max(1.0, float(np.max(np.abs(x_now))), float(np.max(np.abs(x_prev))))
-    gtol = _gradient_tolerance(model, scale)
-    xi, residual = newton_solve(g, jacobian, 2.0 * x_now - x_prev, gtol, MAX_NEWTON_2D, 1e8 * scale)
-    if xi is None:
-        return EomResult(None, TrajectoryStatus.NO_SOLUTION, residual)
-    return EomResult(xi, TrajectoryStatus.COMPLETE, residual)
-
-
-def eom_step(model: ActionModel, x_prev, x_now) -> EomResult:
-    """Solve the discrete equation of motion for the next position.
-
-    For the exact standard/gauged family the equation is linear in x_next,
-    and its one root is taken in closed form wherever it lies. Every other
-    1D action is solved by a bracketing scan of 64 equal subintervals over
-    [x_now - R, x_now + R], each sign change refined by safeguarded Newton.
-    R is 10 |x_now - x_prev| + 10 sqrt(hbar tau / m), which keeps the
-    no-solution verdict for bounded-gradient probes honest: "no root inside
-    the documented search region".
-
-    When several roots fall inside the region, the one closest to the
-    free-motion prediction 2 x_now - x_prev is returned with the non-unique
-    flag. In 2D the two-component system is solved by Newton iteration from
-    the free-motion prediction; failure to converge, a singular Jacobian or
-    a diverging iterate is reported as no_solution (no bracketing
-    equivalent exists there).
-    """
-    if model.dimension == 1:
-        return _eom_step_1d(model, np.float64(x_prev), np.float64(x_now))
-    return _eom_step_2d(model, x_prev, x_now)
-
-
 def integrate(model: ActionModel, x0, x_minus1, n_steps: int) -> ClassicalTrajectory:
     """Iterate the equation of motion from the seed pair (x_{-1}, x_0) for n_steps steps.
 
@@ -216,15 +194,13 @@ def integrate(model: ActionModel, x0, x_minus1, n_steps: int) -> ClassicalTrajec
     integration continues. Steps of the exact standard/gauged family are
     taken in closed form, so they always complete. Momenta and residuals are
     evaluated over the finished track; a non-finite one, or a non-finite
-    residual of the step without a root, raises NumericalError.
+    residual of the step without a root, raises NumericalError. A 2D action
+    raises ValueError.
     """
+    _require_1d(model)
     if n_steps < 1:
         raise ValueError(f"n_steps must be at least 1, got {n_steps}")
-    one_d = model.dimension == 1
-    if one_d:
-        track = [np.float64(x_minus1), np.float64(x0)]
-    else:
-        track = [np.asarray(x_minus1, dtype=float), np.asarray(x0, dtype=float)]
+    track = [np.float64(x_minus1), np.float64(x0)]
     status = TrajectoryStatus.COMPLETE
     failure_step = None
     unsolved = 0.0  # the residual of a step without a root
@@ -248,8 +224,6 @@ def integrate(model: ActionModel, x0, x_minus1, n_steps: int) -> ClassicalTrajec
     with np.errstate(over="ignore", invalid="ignore"):
         momenta = np.asarray(model.ds_dx(xs[1:], xs[:-1]), dtype=float)
         balance = np.abs(momenta[:-1] + np.asarray(model.ds_dy(xs[2:], xs[1:-1]), dtype=float))
-    if not one_d:
-        balance = balance.max(axis=-1)
     # A no_solution verdict never comes from a scan that is not finite.
     if not (np.all(np.isfinite(momenta)) and np.all(np.isfinite(balance)) and math.isfinite(unsolved)):
         raise NumericalError("the momenta or residuals of the classical track are not finite")
@@ -263,7 +237,14 @@ def integrate(model: ActionModel, x0, x_minus1, n_steps: int) -> ClassicalTrajec
     )
 
 
-def _invert_momentum_1d(model, x0, p0):
+def invert_momentum(model: ActionModel, x0, p0):
+    """Find x_prev such that model.ds_dx(x0, x_prev) = p0.
+
+    This is how a classical seed pair is reconstructed from packet
+    parameters (x0, p0). A 2D action raises ValueError.
+    """
+    _require_1d(model)
+    x0, p0 = np.float64(x0), np.float64(p0)
     c = model.constants
 
     def g(xi):
@@ -292,35 +273,3 @@ def _invert_momentum_1d(model, x0, p0):
                 f"no root in [{guess - radius:.6g}, {guess + radius:.6g}]"
             )
     return root
-
-
-def _invert_momentum_2d(model, x0, p0):
-    x0 = np.asarray(x0, dtype=float)
-    p0 = np.asarray(p0, dtype=float)
-    c = model.constants
-
-    def g(xi):
-        return np.asarray(model.ds_dx(x0, xi), dtype=float) - p0
-
-    def jacobian(xi):
-        return np.asarray(model.d2s_dxdy(x0, xi), dtype=float)
-
-    scale = max(1.0, float(np.max(np.abs(x0))), float(np.max(np.abs(p0 * c.time_step / c.mass))))
-    gtol = _gradient_tolerance(model, scale)
-    xi, residual = newton_solve(g, jacobian, x0 - c.time_step * p0 / c.mass, gtol, MAX_NEWTON_2D)
-    if xi is None:
-        raise NumericalError(
-            f"cannot invert the momentum map at x0={x0}, p0={p0}: Newton iteration stopped at residual {residual:.3g}"
-        )
-    return xi
-
-
-def invert_momentum(model: ActionModel, x0, p0):
-    """Find x_prev such that model.ds_dx(x0, x_prev) = p0.
-
-    This is how a classical seed pair is reconstructed from packet
-    parameters (x0, p0).
-    """
-    if model.dimension == 1:
-        return _invert_momentum_1d(model, np.float64(x0), np.float64(p0))
-    return _invert_momentum_2d(model, x0, p0)

@@ -162,10 +162,9 @@ def ehrenfest_run(
     excursion plus a 5 sigma packet envelope has to stay inside the box for
     the whole run, otherwise BoundaryError reports the first offending step.
     The exact-unitarity time step is the intended operating point; other
-    steps are allowed but exact norm preservation is then lost.
+    steps are allowed but exact norm preservation is then lost. A 2D
+    action raises ValueError.
     """
-    if model.dimension != 1:
-        raise ValueError("ehrenfest runs are one-dimensional")
     track = _classical_track(model, x0, p0, n_steps)
     return _packet_run(model, grid, x0, p0, alpha, track, amplitude_mode)
 

@@ -3,14 +3,13 @@
 The kernel matrix is U_jk = w A exp(i S(x_j, x_k) / hbar) with w the cell
 weight (the spacing), so every entry has the same magnitude w |A| and all
 structure lives in the phase. Kernels are built for 1D actions only; the 2D
-vector-potential action enters through the criterion and the classical
-solver. For the standard/gauged family the phase splits into
-diagonal potential/gauge terms and a kinetic term that depends on j - k
-only, so U = diag(left) K diag(right) with K a Toeplitz chirp; those kernels
+vector-potential action enters through the criterion alone. For the
+standard/gauged family the phase splits into diagonal potential/gauge
+terms and a kinetic term that depends on j - k only, so U = diag(left) K diag(right) with K a Toeplitz chirp; those kernels
 are applied by FFT, on any number of points: one size-N FFT at tau* / q,
 where K is a chirped DFT, and a size-2N pair otherwise. Every other kernel
-(the probes) is applied as a dense matrix. The dense matrix is built on
-first read, up to MAX_POINTS_1D points.
+(the probes) is applied as a dense matrix, whose phases are built with the
+kernel, up to MAX_POINTS_1D points.
 Unitarity is quantified by the max-row-sum norm of U U^dagger - I, which
 bounds the worst-case action on normalized states. With U = w A P and P
 unimodular, U U^dagger = (w |A|)^2 P P^dagger: the defect and the
@@ -47,7 +46,7 @@ MAGIC_TOLERANCE = 8 * np.finfo(float).eps
 
 
 class PropagatorKernel:
-    """One-step evolution kernel with its amplitude; matrix and defect built on first read.
+    """One-step evolution kernel with its amplitude; its matrix is scaled on first read.
 
     ``factors`` is (left, right, spectrum, rows) for kernels of the form
     diag(left) K diag(right) (see _kernel_factors); ``apply`` is then one
@@ -58,9 +57,9 @@ class PropagatorKernel:
     ``calibration`` is None for analytic kernels and {"offdiag_row_sum": r,
     "at_bracket_edge": bool} for calibrated ones (see _calibrate). A kernel
     with factors takes its defect from the closed-form Gram rows and builds
-    only its phases, for ``matrix``. A dense kernel keeps the ``dense``
-    (phases, Gram rows) its calibration built, or builds them on the first
-    read of ``matrix`` or ``unitarity_deviation`` (see _dense_phases).
+    only its phases, for ``matrix``. A dense kernel is always calibrated and
+    keeps the ``dense`` (phases, Gram rows) its calibration built (see
+    _dense_phases).
     """
 
     def __init__(self, grid, model, amplitude, factors, dense, calibration, q, q_raw):
@@ -74,13 +73,6 @@ class PropagatorKernel:
         self._factors = factors
         self._phases, self._gram_rows = dense or (None, None)
 
-    def _gram(self) -> tuple[np.ndarray, np.ndarray]:
-        """A dense kernel's (diagonal, off-diagonal) Gram row sums, built with its phases once."""
-        if self._gram_rows is None:
-            self._phases = _dense_phases(self.grid, self.model)
-            self._gram_rows = unitarity_defect(self._phases)
-        return self._gram_rows
-
     @cached_property
     def matrix(self) -> np.ndarray:
         """w A exp(i S / hbar), the only place the phases are scaled; the phases are then dropped.
@@ -89,7 +81,6 @@ class PropagatorKernel:
         builds its phases alone.
         """
         if self._factors is None:
-            self._gram()
             phases, self._phases = self._phases, None
         else:
             phases = _dense_phases(self.grid, self.model)
@@ -103,11 +94,9 @@ class PropagatorKernel:
 
     @cached_property
     def offdiag_row_sum(self) -> float:
-        """r = max_j sum_{k != j} |(P P^dagger)_jk|: in closed form with factors, else from the Gram rows."""
+        """r = max_j sum_{k != j} |(P P^dagger)_jk|: the calibration's, else (analytic family) in closed form."""
         if self.calibration is not None:
             return self.calibration["offdiag_row_sum"]
-        if self._factors is None:
-            return float(self._gram()[1].max())
         return _offdiag_row_sum(self.grid.n_points, self.q, self.q_raw)
 
     @cached_property
@@ -120,7 +109,7 @@ class PropagatorKernel:
         s = weight * weight
         if self._factors is not None:
             return abs(s * self.grid.n_points - 1.0) + s * self.offdiag_row_sum
-        diagonal, offdiag = self._gram()
+        diagonal, offdiag = self._gram_rows
         # Overflow is not reported as a warning: a report refuses a non-finite defect.
         with np.errstate(over="ignore", invalid="ignore"):
             return float(np.max(np.abs(s * diagonal - 1.0) + s * offdiag))
@@ -327,7 +316,7 @@ def _calibrate(r: float, n: int, weight: float, reference: complex):
 
 
 def build_kernel(grid: SpatialGrid, model: ActionModel, amplitude_mode: str = "analytic") -> PropagatorKernel:
-    """Assemble the one-step kernel; a dense matrix and Gram product are built only where read.
+    """Assemble the one-step kernel; a family kernel's dense matrix is built only where read.
 
     ``analytic`` mode uses the continuum stationary-phase amplitude and is
     restricted to the standard/gauged family (``is_standard_family``), where

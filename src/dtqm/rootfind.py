@@ -1,10 +1,8 @@
-"""Root finding for the classical layer: a bracketing scan and Newton iteration."""
-
-import math
+"""Root finding for the 1D classical layer: a bracketing scan refined by safeguarded Newton."""
 
 import numpy as np
 
-__all__ = ["bracketed_newton", "scan_roots", "newton_solve"]
+__all__ = ["bracketed_newton", "scan_roots"]
 
 
 def bracketed_newton(g, dg, lo, hi, g_lo, g_hi, gtol, xtol=0.0, max_iter=80):
@@ -98,27 +96,3 @@ def scan_roots(g, dg, lo, hi, n_scan, gtol, xtol, merge_tol):
             roots.append(r)
             residuals.append(residual)
     return roots, residuals, xs, gs
-
-
-def newton_solve(g, jacobian, x0, gtol, max_iter, blowup=math.inf):
-    """Newton iteration for a vector root g(x) = 0 from ``x0``.
-
-    Converged once max |g| < ``gtol``. Gives up after ``max_iter`` steps, on
-    a singular Jacobian, or when an iterate leaves the box max |x| <=
-    ``blowup``. Returns ``(x, residual)``: ``x`` is None when no root was
-    found, and ``residual`` is max |g| at the last iterate evaluated.
-    """
-    x = x0
-    for _ in range(max_iter):
-        gv = g(x)
-        residual = float(np.max(np.abs(gv)))
-        if residual < gtol:
-            return x, residual
-        try:
-            step = np.linalg.solve(jacobian(x), gv)
-        except np.linalg.LinAlgError:
-            return None, residual
-        x = x - step
-        if float(np.max(np.abs(x))) > blowup:
-            break
-    return None, float(np.max(np.abs(g(x))))

@@ -447,7 +447,7 @@ def test_dense_kernels_evolve_by_their_matrix():
 
 
 def test_a_2d_action_is_refused_at_the_lattice():
-    from dtqm import VectorPotentialAction2D, bilinear_field, ehrenfest_run
+    from dtqm import VectorPotentialAction2D, bilinear_field, ehrenfest_run, eom_step, integrate, invert_momentum
 
     g = make_grid(32, -4.0, 0.25)
     c = PhysicalConstants(1.0, magic_time_step(g, 1.0, HBAR), HBAR)
@@ -455,8 +455,16 @@ def test_a_2d_action_is_refused_at_the_lattice():
     for mode in ("analytic", "calibrated"):
         with pytest.raises(ValueError, match="got a 2D action"):
             build_kernel(g, model, mode)
-    with pytest.raises(ValueError, match="one-dimensional"):
-        ehrenfest_run(model, g, 0.0, 0.0, 1.0, 5)
+    x0, x_prev = np.array([0.5, 0.2]), np.array([0.49, 0.19])
+    # The classical solver and the packet run that needs it are one-dimensional too.
+    for call in (
+        lambda: eom_step(model, x_prev, x0),
+        lambda: integrate(model, x0, x_prev, 5),
+        lambda: invert_momentum(model, x0, np.zeros(2)),
+        lambda: ehrenfest_run(model, g, 0.0, 0.0, 1.0, 5),
+    ):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            call()
 
 
 def test_analytic_evolve_path_does_no_dense_work(monkeypatch):

@@ -1,7 +1,8 @@
 """Golden outputs: what a fixed set of ``dtqm`` calls print and write.
 
 The set is the 66 calls of ``perfbench.workloads.generate`` (both workloads,
-seeds 1 and 2, one cycle), the five README examples and one revival run.
+seeds 1 and 2, one cycle), the five README examples, one revival run and
+one ``check-action`` on the 2D vector-potential action: 73 calls.
 Each call runs in process through ``dtqm.cli.main``. GOLDEN.json records,
 per call, the exit code, the stderr text and the SHA-256 of each output
 file, with the wall-clock fields stripped from ``report.json``; its header
@@ -56,6 +57,17 @@ REVIVAL = {
     "action": {"kind": "standard", "potential": {"name": "zero"}},
     "run": {"x0": -3.0, "p0": 0.0, "n_steps": 512},
 }
+# The 2D action reaches only the criterion: its mixed-derivative determinant and trace.
+VECTOR_POTENTIAL = {
+    "constants": {"mass": 1.0, "hbar": 1.0, "tau": 0.5},
+    "action": {
+        "kind": "vector_potential_2d",
+        "potential": {"name": "zero"},
+        "a1": {"name": "sine", "strength": 0.5},
+        "a2": {"name": "bilinear", "strength": 0.3},
+    },
+    "run": {"domain": [-1.0, 1.0], "expect": "inadmissible", "n_samples": 1296},
+}
 
 
 def golden_calls() -> list[tuple[str, str, dict]]:
@@ -71,6 +83,7 @@ def golden_calls() -> list[tuple[str, str, dict]]:
     for command, block in re.findall(r"^### `([a-z-]+)`.*?```json\n(.*?)```", readme, re.S | re.M):
         calls.append((f"readme-{command}", command, json.loads(block)))
     calls.append(("revival-evolve", "evolve", REVIVAL))
+    calls.append(("vector-potential-check-action", "check-action", VECTOR_POTENTIAL))
     return calls
 
 
